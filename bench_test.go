@@ -7,15 +7,12 @@
 package puffer_test
 
 import (
-	"math"
-	"math/rand"
 	"testing"
 
 	"puffer"
 	"puffer/internal/baseline"
 	"puffer/internal/cong"
 	"puffer/internal/experiments"
-	"puffer/internal/netlist"
 	"puffer/internal/router"
 	"puffer/internal/synth"
 )
@@ -195,26 +192,10 @@ func BenchmarkAblationTPE(b *testing.B) {
 	b.ReportMetric(r.MetricOff, "rand_best")
 }
 
-// nudgeCells displaces frac of the movable cells by up to two Gcells in
-// each axis — the between-estimates churn of the placement loop, where
-// most pins stay inside their Gcell.
-func nudgeCells(rng *rand.Rand, d *netlist.Design, frac, dx, dy float64) {
-	for ci := range d.Cells {
-		c := &d.Cells[ci]
-		if c.Fixed || rng.Float64() >= frac {
-			continue
-		}
-		c.X = math.Min(d.Region.Hi.X-c.W, math.Max(d.Region.Lo.X, c.X+(rng.Float64()-0.5)*2*dx))
-		c.Y = math.Min(d.Region.Hi.Y-c.H, math.Max(d.Region.Lo.Y, c.Y+(rng.Float64()-0.5)*2*dy))
-	}
-}
-
-// estimateBench measures repeated congestion estimation under a
-// placement-loop-shaped workload: a small fraction of cells moves between
-// calls. scratch forces a full rebuild every call (the pre-incremental
-// behaviour); otherwise the journal serves the clean nets.
-func estimateBench(b *testing.B, scratch bool) {
-	b.Helper()
+// BenchmarkEstimate measures one congestion estimate — topologies,
+// demand, pin penalty, detour expansion — of MEDIA_SUBSYS at 1:6000
+// (BENCH_estimate.json records it).
+func BenchmarkEstimate(b *testing.B) {
 	p, err := synth.ProfileByName("MEDIA_SUBSYS")
 	if err != nil {
 		b.Fatal(err)
@@ -222,35 +203,13 @@ func estimateBench(b *testing.B, scratch bool) {
 	d := synth.Generate(p, 6000, 1)
 	gw, gh := puffer.CongGridFor(d)
 	e := cong.NewEstimator(d, gw, gh, cong.DefaultParams())
-	e.Estimate() // prime the journal outside the timed loop
-	rng := rand.New(rand.NewSource(2))
-	dx := 2 * d.Region.W() / float64(gw)
-	dy := 2 * d.Region.H() / float64(gh)
+	e.Estimate() // size the shard scratch outside the timed loop
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		nudgeCells(rng, d, 0.01, dx, dy)
-		b.StartTimer()
-		if scratch {
-			e.ForceRebuild()
-		}
 		e.Estimate()
 	}
-	b.StopTimer()
-	st := e.Stats()
-	b.ReportMetric(100*st.HitRate(), "hit%")
-	b.ReportMetric(float64(st.LastDirtyNets), "dirty_nets")
 }
-
-// BenchmarkEstimateScratch is the from-scratch baseline for the
-// incremental engine (BENCH_estimate.json compares the two).
-func BenchmarkEstimateScratch(b *testing.B) { estimateBench(b, true) }
-
-// BenchmarkEstimateIncremental exercises the journal path on the same
-// workload; the acceptance bar is ≥2× over scratch with <10% of nets
-// moving per call.
-func BenchmarkEstimateIncremental(b *testing.B) { estimateBench(b, false) }
 
 // BenchmarkFullFlow measures the end-to-end PUFFER runtime on the largest
 // profile at bench scale (the RT column of Table II).

@@ -1,8 +1,6 @@
 // Command benchjson converts `go test -bench` output into a JSON report.
-// CI uses it to publish the incremental-estimator comparison as
-// BENCH_estimate.json: when both BenchmarkEstimateScratch and
-// BenchmarkEstimateIncremental appear in the input, the report includes
-// their speedup ratio.
+// CI uses it to publish the congestion-estimator baseline as
+// BENCH_estimate.json.
 //
 // -ratio A/B adds a named ns/op ratio of two benchmarks in the input to
 // the report; CI uses it to publish the telemetry-overhead factor
@@ -13,7 +11,7 @@
 //
 // Usage:
 //
-//	go test -run=NONE -bench='BenchmarkEstimate' -benchtime=50x . |
+//	go test -run=NONE -bench='BenchmarkEstimate$' -benchtime=50x . |
 //	    go run ./cmd/benchjson -out BENCH_estimate.json
 package main
 
@@ -42,9 +40,6 @@ type Report struct {
 	Goos       string      `json:"goos,omitempty"`
 	Goarch     string      `json:"goarch,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
-	// SpeedupIncremental is scratch ns/op divided by incremental ns/op
-	// when both estimator benches are present (acceptance bar: >= 2).
-	SpeedupIncremental float64 `json:"speedup_incremental,omitempty"`
 	// Ratios holds the -ratio A/B results, keyed "A/B": ns/op of A
 	// divided by ns/op of B.
 	Ratios map[string]float64 `json:"ratios,omitempty"`
@@ -77,19 +72,6 @@ func main() {
 		log.Fatal("benchjson: no benchmark lines in input")
 	}
 
-	var scratch, incr float64
-	for _, b := range rep.Benchmarks {
-		switch b.Name {
-		case "EstimateScratch":
-			scratch = b.NsPerOp
-		case "EstimateIncremental":
-			incr = b.NsPerOp
-		}
-	}
-	if scratch > 0 && incr > 0 {
-		rep.SpeedupIncremental = scratch / incr
-	}
-
 	nsPerOp := make(map[string]float64, len(rep.Benchmarks))
 	for _, b := range rep.Benchmarks {
 		nsPerOp[b.Name] = b.NsPerOp
@@ -119,9 +101,6 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("wrote %s (%d benchmarks", *out, len(rep.Benchmarks))
-	if rep.SpeedupIncremental > 0 {
-		fmt.Printf(", incremental speedup %.2fx", rep.SpeedupIncremental)
-	}
 	for _, r := range ratios {
 		fmt.Printf(", %s=%.3f", r, rep.Ratios[r])
 	}

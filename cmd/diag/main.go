@@ -288,8 +288,7 @@ func summarizeSession(path string) error {
 	}
 	fmt.Println()
 	if sn.EstCalls > 0 {
-		fmt.Printf("estimator: %d calls, %d full rebuilds, %d dirty nets last, hit rate %.2f\n",
-			sn.EstCalls, sn.EstRebuilds, sn.EstDirtyNets, sn.EstHitRate)
+		fmt.Printf("estimator: %d calls\n", sn.EstCalls)
 	}
 	cp := sn.Checkpoint
 	fmt.Printf("checkpoint: stage %s, %d cells, %d nets\n", cp.Stage, len(cp.X), len(cp.NetWeight))

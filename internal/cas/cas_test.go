@@ -1,6 +1,7 @@
 package cas
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -50,15 +51,29 @@ func TestGoldenDigests(t *testing.T) {
 	if err != nil {
 		t.Fatalf("canonical strategy: %v", err)
 	}
-	if d := Sum(canon); d != "sha256-bc6f2b6a4bb24dfa1b443b11112b47ed312833aa788e554759b6a6723cfa05ce" {
+	if d := Sum(canon); d != "sha256-207fc22fb74dc83ec2677e553c9ef10013ff079c16aa378845563e9dbed68213" {
 		t.Errorf("canonical default strategy digest = %s\n(encoding: %s)", d, canon)
 	}
 	d2, err := (Config{Kind: "place", Route: true, Seed: 5, Strategy: json.RawMessage(`{}`)}).Digest()
 	if err != nil {
 		t.Fatalf("config digest with strategy: %v", err)
 	}
-	if d2 != "sha256-2fa0bad77f42f3ff8318c77cdb0f7a60ed457fd510f354e59a4b9fe079d909dc" {
+	if d2 != "sha256-25d6cd4f04543ff2808fc8d8df68b8b31f878cee41043a2e0c7d1e92c87d2079" {
 		t.Errorf("config digest (empty strategy json) = %s", d2)
+	}
+	// Client strategies written for puffer-engine/v9 may still spell the
+	// congestion estimator's retired periodic-rebuild knob; the retired
+	// key must canonicalize away instead of splitting the cache.
+	retired, err := os.ReadFile(filepath.Join("testdata", "retired_cong_key.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d3, err := (Config{Kind: "place", Route: true, Seed: 5, Strategy: retired}).Digest()
+	if err != nil {
+		t.Fatalf("config digest with retired key: %v", err)
+	}
+	if d3 != d2 {
+		t.Errorf("config digest of %s = %s, want %s (same as {})", bytes.TrimSpace(retired), d3, d2)
 	}
 }
 

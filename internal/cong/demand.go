@@ -34,13 +34,6 @@ type Params struct {
 	// any-worker-count bit-determinism contract the GP inner loop keeps
 	// (DESIGN.md §3e).
 	Workers int
-	// RebuildEvery forces a full from-scratch re-estimation every this
-	// many Estimate calls, bounding the floating-point drift the
-	// incremental subtract/restamp path accumulates. Zero selects
-	// DefaultRebuildEvery; negative disables periodic rebuilds (the
-	// engine then rebuilds only when forced or when most nets are dirty).
-	RebuildEvery int
-
 	// Topo, when non-nil, memoizes RSMT construction across estimators
 	// sharing one design (exploration trials on the same worker). It is
 	// runtime wiring, not a strategy parameter: rsmt.Build is pure, so
@@ -48,10 +41,6 @@ type Params struct {
 	// from strategy JSON and canonical config digests.
 	Topo *rsmt.Memo `json:"-"`
 }
-
-// DefaultRebuildEvery is the periodic full-rebuild interval used when
-// Params.RebuildEvery is zero.
-const DefaultRebuildEvery = 16
 
 // DefaultParams returns the hand-tuned defaults; the strategy exploration
 // scheme replaces them with searched values.
@@ -77,22 +66,17 @@ type Seg struct {
 }
 
 // Estimator produces congestion maps by the routing-detour-imitating
-// estimation algorithm of Sec. III-A.
-//
-// Since the incremental refactor the estimator is an engine rather than a
-// one-shot pass: every net's deposited demand is journaled (see
-// incremental.go), so repeated Estimate calls re-stamp only the nets whose
-// pins crossed a Gcell boundary since the previous call, and the full
-// rebuild paths shard nets and pins across Params.Workers.
+// estimation algorithm of Sec. III-A. Every call estimates from the
+// current placement; the pass shards nets and pins across Params.Workers
+// (estimate.go).
 type Estimator struct {
 	d *netlist.Design
 	M *Map
 	P Params
 
 	// Segs holds the I-shaped segments found during the last Estimate
-	// call, after which the detour expansion ran over them. Segments are
-	// concatenated in net order, so the expansion order is independent of
-	// which nets were rebuilt incrementally.
+	// call, in net order; the detour expansion ran over them in this
+	// order.
 	Segs []Seg
 
 	// Trees holds the last RSMT topology per net; feature extraction
@@ -100,33 +84,22 @@ type Estimator struct {
 	// evaluation router reuses it through SyncTopologies.
 	Trees []rsmt.Tree
 
-	// Incremental engine state (incremental.go).
-	built        bool
-	forceRebuild bool
-	lastP        Params
-	sinceRebuild int
-	pinCell      []int32      // last quantized Gcell per pin
-	nets         []netJournal // per-net stamp journal
-	baseH        []float64    // pre-expansion demand, maintained incrementally
-	baseV        []float64
-	basePins     []float64
+	shards []shard // per-shard scratch of the estimator pass
 
-	accH, accV, accPins [][]float64  // per-worker rebuild accumulators
-	movedShards         [][]movedPin // per-shard moved-pin scratch
-	dirty               []int        // dirty net ids scratch
-	dirtyMark           []bool
+	// pinPos holds every pin's position as of the last completed pass
+	// (current is false while a pass is in flight or after one failed),
+	// so SyncTopologies can tell that Trees still match the placement.
+	pinPos  []geom.Point
+	current bool
 
 	ovH, ovV []uint64 // expansion overflow bitsets
 
 	stats Stats
 
-	// Telemetry (obs.go): instruments resolved once by SetObs; all nil —
-	// and therefore no-ops — until a recorder is attached.
+	// Telemetry (obs.go): resolved once by SetObs; nil — and therefore a
+	// no-op — until a recorder is attached.
 	rec        *obs.Recorder
 	cEstimates *obs.Counter
-	cRebuilds  *obs.Counter
-	gHitRate   *obs.Gauge
-	sDirty     *obs.Series
 }
 
 // NewEstimator creates an estimator over a fresh W×H capacity map for d.
@@ -138,15 +111,8 @@ func NewEstimator(d *netlist.Design, w, h int, p Params) *Estimator {
 func (e *Estimator) Grid() (int, int) { return e.M.W, e.M.H }
 
 // Estimate runs the full pipeline — topology generation, probabilistic
-// demand, pin penalty, detour expansion — and returns the resulting map.
-//
-// The first call (and every forced or periodic rebuild) estimates from
-// scratch in parallel; other calls subtract and re-stamp only the nets
-// whose pins moved across a Gcell boundary, then re-run the detour
-// expansion on the refreshed base demand. Estimate is equivalent to a
-// from-scratch run up to the bounded floating-point drift of the
-// subtract/restamp path; a rebuild (periodic or ForceRebuild) restores
-// bit-exactness.
+// demand, pin penalty, detour expansion — from the current placement and
+// returns the resulting map.
 func (e *Estimator) Estimate() *Map {
 	// The background context cannot cancel, and estimation has no other
 	// error source, so the error is impossible here.
@@ -154,24 +120,22 @@ func (e *Estimator) Estimate() *Map {
 	return m
 }
 
-// stampNet builds the journal entry for net n from the current pin
-// positions: the RSMT topology, the demand stamps of every I- and L-shaped
-// edge, and the I-segment records the detour expansion consumes. It writes
-// only net-owned state (Trees[n] and j), so distinct nets stamp in
-// parallel. pts is the caller's scratch buffer.
-func (e *Estimator) stampNet(n int, j *netJournal, pts []geom.Point) []geom.Point {
+// stampNet builds the RSMT topology of net n from the current pin
+// positions, deposits the demand of every I- and L-shaped edge into the
+// shard's accumulators, and appends the net's I-segments, which the
+// detour expansion consumes, to the shard. Besides shard-owned state it
+// writes only Trees[n], so distinct shards stamp in parallel.
+func (e *Estimator) stampNet(n int, sh *shard) {
 	net := &e.d.Nets[n]
-	j.stamps = j.stamps[:0]
-	j.segs = j.segs[:0]
 	e.Trees[n] = rsmt.Tree{}
 	if len(net.Pins) < 2 {
-		return pts
+		return
 	}
-	pts = pts[:0]
+	sh.pts = sh.pts[:0]
 	for _, pid := range net.Pins {
-		pts = append(pts, e.d.PinPos(pid))
+		sh.pts = append(sh.pts, e.d.PinPos(pid))
 	}
-	tree := e.P.Topo.Build(pts) // nil memo degrades to plain rsmt.Build
+	tree := e.P.Topo.Build(sh.pts) // nil memo degrades to plain rsmt.Build
 	e.Trees[n] = tree
 
 	for _, edge := range tree.Edges {
@@ -189,9 +153,9 @@ func (e *Estimator) stampNet(n int, j *netJournal, pts []geom.Point) []geom.Poin
 				as, bs = bs, as
 			}
 			for i := i0; i <= i1; i++ {
-				j.stamps = append(j.stamps, stamp{idx: int32(e.M.Index(i, aj)), dh: 1})
+				sh.h[e.M.Index(i, aj)]++
 			}
-			j.segs = append(j.segs, Seg{Horizontal: true, I0: i0, J0: aj, I1: i1, J1: aj, ASteiner: as, BSteiner: bs})
+			sh.segs = append(sh.segs, Seg{Horizontal: true, I0: i0, J0: aj, I1: i1, J1: aj, ASteiner: as, BSteiner: bs})
 		case ai == bi: // vertical I-shape
 			j0, j1 := aj, bj
 			as, bs := a.Steiner, b.Steiner
@@ -200,9 +164,9 @@ func (e *Estimator) stampNet(n int, j *netJournal, pts []geom.Point) []geom.Poin
 				as, bs = bs, as
 			}
 			for jj := j0; jj <= j1; jj++ {
-				j.stamps = append(j.stamps, stamp{idx: int32(e.M.Index(ai, jj)), dv: 1})
+				sh.v[e.M.Index(ai, jj)]++
 			}
-			j.segs = append(j.segs, Seg{Horizontal: false, I0: ai, J0: j0, I1: ai, J1: j1, ASteiner: as, BSteiner: bs})
+			sh.segs = append(sh.segs, Seg{Horizontal: false, I0: ai, J0: j0, I1: ai, J1: j1, ASteiner: as, BSteiner: bs})
 		default: // L-shape: average demand over the bounding box
 			i0, i1 := ai, bi
 			if i0 > i1 {
@@ -219,12 +183,12 @@ func (e *Estimator) stampNet(n int, j *netJournal, pts []geom.Point) []geom.Poin
 			for jj := j0; jj <= j1; jj++ {
 				row := jj * e.M.W
 				for i := i0; i <= i1; i++ {
-					j.stamps = append(j.stamps, stamp{idx: int32(row + i), dh: dh, dv: dv})
+					sh.h[row+i] += dh
+					sh.v[row+i] += dv
 				}
 			}
 		}
 	}
-	return pts
 }
 
 // expand performs the detour-imitating demand expansion (Sec. III-A3):

@@ -57,8 +57,8 @@ func (o Options) warmMin() int {
 
 // Session owns the warm state of one design across an ECO conversation:
 // the design itself (mutated in place by deltas and re-placements), the
-// shared routability optimizer — whose congestion estimator carries the
-// per-net demand journal and cached RSMT topologies — and the placement
+// shared routability optimizer — whose congestion estimator re-estimates
+// from the current placement on every call — and the placement
 // engine state harvested after every run (density solver with its fixed
 // baseline and deposit fingerprints, wirelength model with its per-worker
 // scratch). Place runs the cold pipeline once; Apply then re-enters the
@@ -69,8 +69,7 @@ func (o Options) warmMin() int {
 // design between calls. Warm state is dropped selectively: a delta that
 // moves or resizes a FIXED cell invalidates the density solver (its
 // baseline bakes the fixed landscape in) but keeps the wirelength model
-// and the estimator journal (the estimator detects the dirtied nets
-// itself from Gcell-quantized pin positions).
+// (the congestion estimator carries no placement state to invalidate).
 //
 // All methods are safe for concurrent use; they serialize on one mutex
 // (the warm state is inherently single-writer).
@@ -199,8 +198,8 @@ func (s *Session) Apply(ctx context.Context, dl *Delta) (*pipeline.Result, error
 	}
 	rc.UsePadOptimizer(s.opt)
 	// One padding refresh against the delta before GP re-entry: the
-	// incremental estimator re-stamps only the delta-dirtied nets, the
-	// optimizer recycles stale padding and folds in any overrides the
+	// estimator re-estimates the delta-moved placement, the optimizer
+	// recycles stale padding and folds in any overrides the
 	// delta seeded. In-loop triggering during the warm run then follows
 	// the usual τ/η/ξ/cooldown rules.
 	info, err := s.opt.RunCtx(ctx)

@@ -2,8 +2,10 @@ package eco
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -96,7 +98,7 @@ func TestApplyRejectsEmptyAndInvalidDeltas(t *testing.T) {
 
 // TestApplyDeterministicAcrossWorkers is the Session-level counterpart of
 // TestGPDeterminismAcrossWorkers: the whole ECO path — cold place, then a
-// delta chain through the incremental estimator, padding, warm GP, legal,
+// delta chain through the congestion estimator, padding, warm GP, legal,
 // and detailed placement — must produce bit-identical placements at any
 // worker count.
 func TestApplyDeterministicAcrossWorkers(t *testing.T) {
@@ -203,118 +205,131 @@ func TestChainConvergesToColdQuality(t *testing.T) {
 }
 
 // TestParkRestoreNextDeltaExact: a parked-and-restored session's next
-// delta must land on the same HPWL as the uninterrupted session's. With
-// RebuildEvery=1 every estimate is a full rebuild — the incremental
-// journal never carries state across calls — so the restored session
-// (whose caches start cold) is bit-equal to the uninterrupted one.
+// delta must land on the same HPWL and placement as the uninterrupted
+// session's, at the default configuration. The restored session's caches
+// start cold, and the congestion estimator keeps no state across calls, so
+// nothing the snapshot leaves out can perturb the result.
 func TestParkRestoreNextDeltaExact(t *testing.T) {
-	cfg := testConfig(2)
-	cfg.Strategy.Cong.RebuildEvery = 1
+	for _, tc := range []struct {
+		name           string
+		seed           int64
+		delta1, delta2 [3]float64 // moveDelta frac, dx, dy
+	}{
+		{"seed11", 11, [3]float64{0.05, 2.5, -1.5}, [3]float64{0.06, -3.0, 2.0}},
+		{"seed13", 13, [3]float64{0.05, 2.0, 2.0}, [3]float64{0.05, -1.0, 3.0}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := testConfig(2)
+			d1 := testDesign(1200, tc.seed)
+			s1, err := New(d1, cfg, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s1.Place(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			delta1 := moveDelta(d1, tc.delta1[0], tc.delta1[1], tc.delta1[2])
+			if _, err := s1.Apply(context.Background(), delta1); err != nil {
+				t.Fatal(err)
+			}
 
-	d1 := testDesign(1200, 11)
-	s1, err := New(d1, cfg, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s1.Place(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	delta1 := moveDelta(d1, 0.05, 2.5, -1.5)
-	if _, err := s1.Apply(context.Background(), delta1); err != nil {
-		t.Fatal(err)
-	}
+			// Park: snapshot, round-trip through disk like the service does.
+			sn, err := s1.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			path := filepath.Join(t.TempDir(), "snapshot.json")
+			if err := sn.Save(path); err != nil {
+				t.Fatal(err)
+			}
+			sn2, err := LoadSnapshot(path)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	// Park: snapshot, round-trip through disk like the service does.
-	sn, err := s1.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "snapshot.json")
-	if err := sn.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	sn2, err := LoadSnapshot(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+			// Both sessions apply the same second delta. The delta is built
+			// against s1's current placement; the restored design holds
+			// identical positions (checkpoint), so it validates there too.
+			delta2 := moveDelta(d1, tc.delta2[0], tc.delta2[1], tc.delta2[2])
 
-	// Both sessions apply the same second delta. The delta is built
-	// against s1's current placement; the restored design holds identical
-	// positions (checkpoint), so it validates there too.
-	delta2 := moveDelta(d1, 0.06, -3.0, 2.0)
+			resU, err := s1.Apply(context.Background(), delta2)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	resU, err := s1.Apply(context.Background(), delta2)
-	if err != nil {
-		t.Fatal(err)
-	}
+			d2 := testDesign(1200, tc.seed)
+			s2, err := Restore(d2, cfg, Options{}, sn2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s2.Deltas() != 1 {
+				t.Fatalf("restored session reports %d deltas, want 1", s2.Deltas())
+			}
+			resR, err := s2.Apply(context.Background(), delta2)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	d2 := testDesign(1200, 11)
-	s2, err := Restore(d2, cfg, Options{}, sn2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s2.Deltas() != 1 {
-		t.Fatalf("restored session reports %d deltas, want 1", s2.Deltas())
-	}
-	resR, err := s2.Apply(context.Background(), delta2)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if resU.HPWL != resR.HPWL {
-		t.Fatalf("restored session HPWL %v != uninterrupted %v (diff %g)",
-			resR.HPWL, resU.HPWL, resR.HPWL-resU.HPWL)
-	}
-	for i := range d1.Cells {
-		if d1.Cells[i].X != d2.Cells[i].X || d1.Cells[i].Y != d2.Cells[i].Y {
-			t.Fatalf("cell %d diverges after restore: (%v,%v) vs (%v,%v)",
-				i, d1.Cells[i].X, d1.Cells[i].Y, d2.Cells[i].X, d2.Cells[i].Y)
-		}
+			if resU.HPWL != resR.HPWL {
+				t.Fatalf("restored session HPWL %v != uninterrupted %v (diff %g)",
+					resR.HPWL, resU.HPWL, resR.HPWL-resU.HPWL)
+			}
+			for i := range d1.Cells {
+				if d1.Cells[i].X != d2.Cells[i].X || d1.Cells[i].Y != d2.Cells[i].Y {
+					t.Fatalf("cell %d diverges after restore: (%v,%v) vs (%v,%v)",
+						i, d1.Cells[i].X, d1.Cells[i].Y, d2.Cells[i].X, d2.Cells[i].Y)
+				}
+			}
+		})
 	}
 }
 
-// TestParkRestoreDefaultConfigBand is the same scenario under the default
-// incremental estimator settings: the journal MAY carry sub-1e-9 drift the
-// restored session does not reproduce, so the contract here is the quality
-// band, not bit equality.
-func TestParkRestoreDefaultConfigBand(t *testing.T) {
-	cfg := testConfig(2)
-
-	d1 := testDesign(1200, 13)
-	s1, err := New(d1, cfg, Options{})
+// TestLoadSnapshotIgnoresRetiredEstimatorKeys: snapshots parked by an
+// older engine carry est_rebuilds/est_dirty_nets/est_hit_rate. They are
+// inspection-only, so such a file must still load and restore.
+func TestLoadSnapshotIgnoresRetiredEstimatorKeys(t *testing.T) {
+	cfg := testConfig(1)
+	s1, err := New(testDesign(2000, 1), cfg, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s1.Place(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s1.Apply(context.Background(), moveDelta(d1, 0.05, 2.0, 2.0)); err != nil {
-		t.Fatal(err)
-	}
 	sn, err := s1.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta2 := moveDelta(d1, 0.05, -1.0, 3.0)
-	resU, err := s1.Apply(context.Background(), delta2)
+	data, err := json.Marshal(sn)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(data, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["est_rebuilds"] = 7
+	doc["est_dirty_nets"] = 6480
+	doc["est_hit_rate"] = 0.25
+	if data, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "old.json")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	d2 := testDesign(1200, 13)
-	s2, err := Restore(d2, cfg, Options{}, sn)
+	loaded, err := LoadSnapshot(path)
+	if err != nil {
+		t.Fatalf("snapshot with retired estimator keys rejected: %v", err)
+	}
+	d := testDesign(2000, 1)
+	s2, err := Restore(d, cfg, Options{}, loaded)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resR, err := s2.Apply(context.Background(), delta2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rel := math.Abs(resR.HPWL-resU.HPWL) / resU.HPWL
-	t.Logf("uninterrupted HPWL=%.2f restored HPWL=%.2f rel=%.2e", resU.HPWL, resR.HPWL, rel)
-	if rel > 0.05 {
-		t.Fatalf("restored session HPWL %v drifted %.2f%% from uninterrupted %v",
-			resR.HPWL, 100*rel, resU.HPWL)
+	if _, err := s2.Apply(context.Background(), moveDelta(d, 0.05, 1.0, -1.0)); err != nil {
+		t.Fatalf("restored session cannot apply a delta: %v", err)
 	}
 }
 

@@ -19,10 +19,10 @@ const SnapshotFormat = "puffer/eco-session/v1"
 
 // Snapshot is the durable state of a parked session: enough to rebuild a
 // Session that continues the delta chain with the same results. Pure
-// caches — the estimator journal, density fingerprints, wirelength
-// scratch — are deliberately NOT captured: they are rebuilt on the first
-// warm run after restore, and rebuilding them never changes results (the
-// estimator full-rebuild is the incremental path's own ground truth).
+// caches — density fingerprints, wirelength scratch, the estimator's
+// topologies — are deliberately NOT captured: they are rebuilt on the
+// first warm run after restore, and rebuilding them never changes results
+// (the congestion estimator estimates from scratch on every call).
 // What IS captured is everything that would change results if lost: the
 // placement (cell positions, padding, net weights via the embedded
 // pipeline checkpoint), delta-applied cell sizes, the padding history
@@ -40,10 +40,7 @@ type Snapshot struct {
 
 	// Congestion-engine statistics of the last run, for inspection
 	// (cmd/diag -session); not needed for restore.
-	EstCalls     int     `json:"est_calls,omitempty"`
-	EstRebuilds  int     `json:"est_rebuilds,omitempty"`
-	EstDirtyNets int     `json:"est_dirty_nets,omitempty"`
-	EstHitRate   float64 `json:"est_hit_rate,omitempty"`
+	EstCalls int `json:"est_calls,omitempty"`
 
 	// CellW/CellH are the current cell sizes, indexed by cell ID: deltas
 	// resize cells, and the checkpoint alone (positions, padding, net
@@ -117,9 +114,6 @@ func (s *Session) Snapshot() (*Snapshot, error) {
 	}
 	if s.estStats != nil {
 		sn.EstCalls = s.estStats.Calls
-		sn.EstRebuilds = s.estStats.FullRebuilds
-		sn.EstDirtyNets = s.estStats.LastDirtyNets
-		sn.EstHitRate = s.estStats.HitRate()
 	}
 	return sn, nil
 }

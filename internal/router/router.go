@@ -59,11 +59,12 @@ type Config struct {
 	// appear in the run report.
 	Obs *obs.Recorder `json:"-"`
 	// Topo, when set, is the placement flow's congestion estimator: the
-	// router reuses its incrementally maintained RSMT topologies instead
-	// of rebuilding every net from scratch, provided the estimator's Gcell
-	// grid matches the router's (the pipeline configures both from the
-	// same GridFor heuristic). A grid mismatch silently falls back to
-	// per-net rsmt.Build.
+	// router takes its RSMT topologies from Topo.SyncTopologies (which
+	// uses the estimator's rsmt.Memo, if any) instead of building every
+	// net itself, provided the estimator's Gcell grid matches the
+	// router's (the pipeline configures both from the same GridFor
+	// heuristic). A grid mismatch silently falls back to per-net
+	// rsmt.Build.
 	Topo *cong.Estimator
 }
 
@@ -143,10 +144,9 @@ func RouteCtx(ctx context.Context, d *netlist.Design, cfg Config) (*Result, erro
 		}
 	}
 
-	// When the placement flow's estimator shares our Gcell grid, reuse its
-	// incrementally maintained RSMT topologies instead of rebuilding every
-	// net (the refresh re-stamps only nets whose pins crossed a Gcell
-	// boundary since the last estimate).
+	// When the placement flow's estimator shares our Gcell grid, take the
+	// RSMT topologies from it (refreshed against the current placement)
+	// instead of building every net here.
 	var cached []rsmt.Tree
 	if cfg.Topo != nil {
 		if tw, th := cfg.Topo.Grid(); tw == cfg.GridW && th == cfg.GridH {

@@ -234,8 +234,8 @@ func (rc *RunContext) PadOptimizer() *padding.Optimizer {
 }
 
 // UsePadOptimizer injects a pre-existing routability optimizer — the ECO
-// session path, where one optimizer (and its congestion journal and
-// padding history) outlives many runs. It must be called before the first
+// session path, where one optimizer (and its padding history) outlives
+// many runs. It must be called before the first
 // PadOptimizer use; the optimizer must have been built for rc.Design.
 func (rc *RunContext) UsePadOptimizer(opt *padding.Optimizer) { rc.opt = opt }
 

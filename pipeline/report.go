@@ -61,20 +61,19 @@ func BuildReport(rc *RunContext) (*obs.RunReport, error) {
 }
 
 // WriteStageStats prints the per-stage pipeline statistics in the fixed
-// `cmd/puffer -stats` format, including the congestion engine's counters
-// for stages that ran the estimator. Stages without an estimator snapshot
-// (Estimator == nil — e.g. the optimizer never triggered, or the stats
-// came from a decoded report) print only their stage line.
+// `cmd/puffer -stats` format, including the congestion estimator's
+// cumulative call count, estimated nets, and phase walls for stages that
+// ran it. Stages without an estimator snapshot (Estimator == nil — e.g.
+// the optimizer never triggered, or the stats came from a decoded report)
+// print only their stage line.
 func WriteStageStats(w io.Writer, stages []StageStats) {
 	for _, st := range stages {
 		fmt.Fprintf(w, "stage %-10s %10s  iters=%-8d allocs=%d\n",
 			st.Name, st.Wall.Round(time.Microsecond), st.Iters, st.AllocsDelta)
 		if es := st.Estimator; es != nil {
-			fmt.Fprintf(w, "  estimator: calls=%d rebuilds=%d incremental=%d hit=%.1f%% last=%s dirty=%d moved=%d (pin=%s topo=%s apply=%s expand=%s)\n",
-				es.Calls, es.FullRebuilds, es.IncrementalCalls, 100*es.HitRate(),
-				es.LastReason, es.LastDirtyNets, es.LastMovedPins,
-				es.LastPinWall.Round(time.Microsecond), es.LastTopoWall.Round(time.Microsecond),
-				es.LastApplyWall.Round(time.Microsecond), es.LastExpandWall.Round(time.Microsecond))
+			fmt.Fprintf(w, "  estimator: calls=%d nets=%d (topo=%s merge=%s expand=%s)\n",
+				es.Calls, es.CacheMisses, es.TopoWall.Round(time.Microsecond),
+				es.MergeWall.Round(time.Microsecond), es.ExpandWall.Round(time.Microsecond))
 		}
 	}
 }

@@ -147,10 +147,10 @@ func Route(cfg router.Config) Stage {
 			cfg.Obs = rc.Cfg.Obs
 		}
 		if cfg.Topo == nil && rc.opt != nil && rc.opt.Iter() > 0 {
-			// The routability optimizer already maintains per-net RSMT
-			// topologies incrementally; let the router reuse them instead
-			// of rebuilding every net. (Only when the optimizer actually
-			// ran — otherwise the estimator would pay a full build here.)
+			// Let the router take its RSMT topologies from the
+			// routability optimizer's estimator, which carries any shared
+			// rsmt.Memo, instead of building its own. (Only when the
+			// optimizer actually ran.)
 			cfg.Topo = rc.opt.Estimator()
 		}
 		rr, err := router.RouteCtx(ctx, rc.Design, cfg)
