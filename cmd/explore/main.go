@@ -51,8 +51,11 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	final, best, n, err := puffer.ExploreStrategyCtx(ctx, d, pcfg, *budget, *seed,
-		func(format string, args ...any) { log.Printf(format, args...) })
+	final, best, n, err := puffer.ExploreStrategy(ctx, d, pcfg, puffer.ExploreOptions{
+		Budget: *budget,
+		Seed:   *seed,
+		Logf:   log.Printf,
+	})
 	if err != nil {
 		if !errors.Is(err, puffer.ErrCanceled) {
 			log.Fatal(err)

@@ -547,31 +547,45 @@ func (c *client) list() error {
 	if err := checkStatus(resp); err != nil {
 		return err
 	}
+	// Rows are job manifests (the same on a worker and a coordinator).
 	var rows []struct {
-		ID          string    `json:"id"`
-		Kind        string    `json:"kind"`
-		Design      string    `json:"design"`
-		State       string    `json:"state"`
-		Stage       string    `json:"stage"`
-		Attempts    int       `json:"attempts"`
-		SubmittedAt time.Time `json:"submitted_at"`
-		HPWL        float64   `json:"hpwl"`
-		Error       string    `json:"error"`
+		ID    string `json:"id"`
+		State string `json:"state"`
+		Stage string `json:"stage"`
+		Error string `json:"error"`
+		Spec  struct {
+			Kind    string `json:"kind"`
+			Profile string `json:"profile"`
+		} `json:"spec"`
+		Attempts     int    `json:"attempts"`
+		DesignDigest string `json:"design_digest"`
+		Result       *struct {
+			HPWL float64 `json:"hpwl"`
+		} `json:"result"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&rows); err != nil {
 		return err
 	}
 	fmt.Printf("%-14s %-8s %-16s %-9s %-9s %3s  %s\n", "ID", "KIND", "DESIGN", "STATE", "STAGE", "TRY", "HPWL/ERROR")
 	for _, r := range rows {
+		// Uploads are listed without their files: a coordinator names
+		// them by design digest, a worker only as an upload.
+		design := r.Spec.Profile
+		if design == "" {
+			design = "upload"
+			if d, ok := strings.CutPrefix(r.DesignDigest, "sha256-"); ok && len(d) >= 12 {
+				design = "upload:" + d[:12]
+			}
+		}
 		detail := ""
-		if r.HPWL > 0 {
-			detail = fmt.Sprintf("%.0f", r.HPWL)
+		if r.Result != nil && r.Result.HPWL > 0 {
+			detail = fmt.Sprintf("%.0f", r.Result.HPWL)
 		}
 		if r.Error != "" {
 			detail = r.Error
 		}
 		fmt.Printf("%-14s %-8s %-16s %-9s %-9s %3d  %s\n",
-			r.ID, r.Kind, r.Design, r.State, r.Stage, r.Attempts, detail)
+			r.ID, r.Spec.Kind, design, r.State, r.Stage, r.Attempts, detail)
 	}
 	return nil
 }

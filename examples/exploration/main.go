@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -29,7 +30,11 @@ func main() {
 
 	pcfg := place.DefaultConfig()
 	pcfg.MaxIters = 300
-	final, best, evals := puffer.ExploreStrategy(tuneDesign, pcfg, 8, 1, nil)
+	final, best, evals, err := puffer.ExploreStrategy(context.Background(), tuneDesign, pcfg,
+		puffer.ExploreOptions{Budget: 8, Seed: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
 	fmt.Printf("exploration finished after %d observations\n", evals)
 	fmt.Printf("  tuned mu=%.2f beta=%.2f zeta=%.2f tau=%.2f xi=%d theta=%.0f\n",
 		best.Mu, best.Beta, best.Zeta, best.Tau, best.MaxIters, best.Theta)

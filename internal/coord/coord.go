@@ -3,17 +3,20 @@
 // over HTTP, accepting job submissions, deduplicating them through a
 // content-addressed result cache (internal/cas), dispatching cache misses
 // to the least-loaded live worker with per-tenant fairness and rate
-// limits, mirroring checkpoints so a SIGKILLed worker's jobs re-admit on a
-// survivor mid-flow, and proxying status/result/artifact/SSE reads so
-// pufferctl works against a coordinator unchanged.
+// limits, and mirroring checkpoints so a SIGKILLed worker's jobs re-admit
+// on a survivor mid-flow. Its job API is serve.API itself, with the
+// coordinator as the remote serve.Backend, so pufferctl works against a
+// coordinator unchanged.
 //
 // The package layers are:
 //
 //	node.go     — the fleet vocabulary: NodeManifest, ParseNodeManifest, Announcer
 //	coord.go    — Server lifecycle: registry, recovery, drain, metrics
-//	dispatch.go — tenant queues, rate limits, node selection, watchers, failover
-//	api.go      — the HTTP surface (submit + fleet + ops)
-//	proxy.go    — read-path proxying (status, result, artifacts, SSE, traces)
+//	backend.go  — the serve.Backend: admission (CAS + result cache), cancel,
+//	              proxied worker events and artifacts, readiness, node routes
+//	dispatch.go — tenant queues, rate limits, node selection, watchers,
+//	              failover, result/artifact mirroring, trace merge
+//	farm.go     — the distributed exploration controller (xfarm backend)
 package coord
 
 import (

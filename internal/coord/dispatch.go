@@ -397,7 +397,9 @@ func (s *Server) watch(ctx context.Context, id string) {
 		fails = 0
 		if remote.Stage != "" && remote.Stage != lastStage {
 			lastStage = remote.Stage
-			s.mirrorCheckpoint(ctx, m)
+			// Best effort: without a mirror, failover falls back to a
+			// cold rerun, which bit-determinism lands on the same result.
+			s.fetchArtifact(ctx, m, "checkpoint.json")
 			s.spool.Update(id, func(mm *serve.Manifest) error {
 				mm.Stage = remote.Stage
 				return nil
@@ -422,8 +424,22 @@ func (s *Server) watch(ctx context.Context, id string) {
 
 // fetchRemoteManifest reads the job's manifest from its worker.
 func (s *Server) fetchRemoteManifest(ctx context.Context, m *serve.Manifest) (*serve.Manifest, error) {
+	data, err := s.remoteGet(ctx, m, "")
+	if err != nil {
+		return nil, err
+	}
+	remote := &serve.Manifest{}
+	if err := json.Unmarshal(data, remote); err != nil {
+		return nil, err
+	}
+	return remote, nil
+}
+
+// remoteGet reads the job's worker-side resource at path (relative to
+// the remote job URL).
+func (s *Server) remoteGet(ctx context.Context, m *serve.Manifest, path string) ([]byte, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		m.NodeAddr+"/api/v1/jobs/"+m.RemoteID, nil)
+		m.NodeAddr+"/api/v1/jobs/"+m.RemoteID+path, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -435,38 +451,7 @@ func (s *Server) fetchRemoteManifest(ctx context.Context, m *serve.Manifest) (*s
 	if resp.StatusCode != http.StatusOK {
 		return nil, fmt.Errorf("worker answered %d", resp.StatusCode)
 	}
-	remote := &serve.Manifest{}
-	if err := json.NewDecoder(resp.Body).Decode(remote); err != nil {
-		return nil, err
-	}
-	return remote, nil
-}
-
-// mirrorCheckpoint best-effort copies the remote checkpoint.json into the
-// coordinator's job dir. Failure is tolerable: failover then falls back
-// to a cold rerun, which the engine's bit-determinism still lands on the
-// exact same result, just slower.
-func (s *Server) mirrorCheckpoint(ctx context.Context, m *serve.Manifest) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		m.NodeAddr+"/api/v1/jobs/"+m.RemoteID+"/artifacts/checkpoint.json", nil)
-	if err != nil {
-		return
-	}
-	resp, err := s.client.Do(req)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil || len(data) == 0 {
-		return
-	}
-	if err := s.spool.WriteArtifact(m.ID, "checkpoint.json", data); err != nil {
-		s.log.Warn("checkpoint mirror failed", "job", m.ID, "error", err)
-	}
+	return io.ReadAll(resp.Body)
 }
 
 // requeue returns a dispatched job to its tenant queue for another
@@ -591,22 +576,11 @@ func (s *Server) finish(m *serve.Manifest, state serve.JobState, errMsg string, 
 	s.publishGauges()
 }
 
-// fetchArtifact mirrors one remote artifact into the coordinator job dir.
+// fetchArtifact best-effort mirrors one remote artifact (a finished job's
+// outputs, or a running job's latest checkpoint) into the coordinator's
+// job dir.
 func (s *Server) fetchArtifact(ctx context.Context, m *serve.Manifest, name string) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet,
-		m.NodeAddr+"/api/v1/jobs/"+m.RemoteID+"/artifacts/"+name, nil)
-	if err != nil {
-		return
-	}
-	resp, err := s.client.Do(req)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return
-	}
-	data, err := io.ReadAll(resp.Body)
+	data, err := s.remoteGet(ctx, m, "/artifacts/"+name)
 	if err != nil {
 		return
 	}

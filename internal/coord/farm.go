@@ -1,12 +1,10 @@
 package coord
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
 	"os"
 	"sort"
 	"strings"
@@ -359,7 +357,7 @@ func (b *farmBackend) Await(ctx context.Context, jobID string) (xfarm.TrialOutco
 		case serve.StateDone:
 			res := m.Result
 			if res == nil {
-				res = b.s.resolveOrigin(m).Result
+				res = b.s.spool.Origin(m).Result
 			}
 			if res == nil {
 				return xfarm.TrialOutcome{}, fmt.Errorf("trial %s finished without a result", jobID)
@@ -380,78 +378,29 @@ func (b *farmBackend) Await(ctx context.Context, jobID string) (xfarm.TrialOutco
 
 // Cancel requests mid-flight cancellation of a dominated trial.
 func (b *farmBackend) Cancel(jobID, reason string) error {
-	return b.s.cancelJob(jobID, reason)
+	_, err := b.s.cancelJob(jobID, reason)
+	return err
 }
 
 // WatchOverflow streams the trial's place.overflow samples from its
-// worker's SSE feed. A stream that ends without the job being terminal
-// (worker died, failover in progress) re-attaches to wherever the job
-// lands next.
+// worker's SSE feed, re-attaching wherever failover lands the job.
 func (b *farmBackend) WatchOverflow(ctx context.Context, jobID string, fn func(step int, overflow float64)) {
-	for ctx.Err() == nil {
-		m, err := b.s.spool.ReadManifest(jobID)
-		if err != nil || m.State.Terminal() {
-			return
-		}
-		if m.NodeAddr != "" && m.RemoteID != "" {
-			b.streamOverflow(ctx, m.NodeAddr+"/api/v1/jobs/"+m.RemoteID+"/events", fn)
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(b.s.cfg.Poll):
-		}
-	}
-}
-
-// streamOverflow reads one worker SSE stream, forwarding overflow samples.
-func (b *farmBackend) streamOverflow(ctx context.Context, url string, fn func(int, float64)) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
-	if err != nil {
-		return
-	}
-	// Streaming call: bypass the default client timeout.
-	client := &http.Client{Transport: b.s.client.Transport}
-	resp, err := client.Do(req)
-	if err != nil {
-		return
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return
-	}
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		if !strings.HasPrefix(line, "data: ") {
-			continue
-		}
-		var e serve.Event
-		if json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &e) != nil {
-			continue
-		}
+	b.s.followJob(ctx, jobID, func(e serve.Event) bool {
 		if e.Type == "sample" && e.Series == "place.overflow" {
 			fn(e.Step, e.Value)
 		}
-	}
+		return true
+	})
 }
 
 // admitTrial is the internal admission path for farm trial jobs: the same
-// content addressing and result-cache check as handleSubmit, minus the HTTP
+// content addressing and result-cache check as Admit, minus the HTTP
 // concerns, the pending cap (the controller self-limits at one in-flight
 // trial per relevance group), and spec validation (the spec is built here,
 // not received). The trial manifest carries Parent for provenance.
 func (s *Server) admitTrial(parent *serve.Manifest, spec serve.JobSpec) (*serve.Manifest, error) {
 	spec.Normalize()
-	configDigest, err := cas.Config{
-		Kind:     spec.Kind,
-		MaxIters: spec.MaxIters,
-		Route:    spec.Route,
-		Budget:   spec.Budget,
-		Seed:     spec.Seed,
-		Strategy: spec.Strategy,
-	}.Digest()
+	config, err := configDigest(&spec)
 	if err != nil {
 		return nil, err
 	}
@@ -462,28 +411,17 @@ func (s *Server) admitTrial(parent *serve.Manifest, spec serve.JobSpec) (*serve.
 		Tenant:       parent.Tenant,
 		Parent:       parent.ID,
 		DesignDigest: parent.DesignDigest,
-		ConfigDigest: string(configDigest),
+		ConfigDigest: string(config),
 		SubmittedAt:  time.Now().UTC(),
 		TraceParent:  parent.TraceParent,
 	}
 	if !spec.NoCache {
-		if hit, ok := s.cacheHit(cas.Digest(parent.DesignDigest), configDigest); ok {
-			now := time.Now()
-			m.State = serve.StateDone
-			m.CacheHit = true
-			m.Origin = hit.Job
-			m.ResultDigest = string(hit.ResultDigest)
-			m.FinishedAt = &now
-			if origin, err := s.spool.ReadManifest(hit.Job); err == nil {
-				m.Result = origin.Result
-				m.Stage = origin.Stage
-			}
-			if err := s.spool.CreateJob(m); err != nil {
-				return nil, err
-			}
-			s.reg.Counter("coord.cache_hits").Inc()
+		hit, err := s.answerFromCache(m)
+		if err != nil {
+			return nil, err
+		}
+		if hit {
 			s.reg.Counter("coord.trial_cache_hits").Inc()
-			s.publishGauges()
 			return m, nil
 		}
 	}
@@ -501,61 +439,4 @@ func (s *Server) admitTrial(parent *serve.Manifest, spec serve.JobSpec) (*serve.
 	s.reg.Counter("coord.trials_submitted").Inc()
 	s.enqueue(m)
 	return m, nil
-}
-
-// farmEvents streams a distributed exploration's progress as SSE: the live
-// controller's hub (replay + live) while it runs, or a single terminal
-// state event once it is gone.
-func (s *Server) farmEvents(w http.ResponseWriter, r *http.Request, m *serve.Manifest) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		apiError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-
-	writeEvent := func(e serve.Event) bool {
-		data, _ := json.Marshal(e)
-		if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", e.Type, data); err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
-	}
-
-	f := s.lookupFarm(m.ID)
-	if f == nil {
-		// No live controller: report the durable state (terminal, or parked
-		// between shutdown and the next boot's resume).
-		writeEvent(serve.Event{Seq: 1, Type: "state", State: m.State, Error: m.Error})
-		return
-	}
-	replay, ch, cancel := f.hub.Subscribe()
-	defer cancel()
-	for _, e := range replay {
-		if !writeEvent(e) {
-			return
-		}
-	}
-	for {
-		select {
-		case <-r.Context().Done():
-			return
-		case e, chOk := <-ch:
-			if !chOk {
-				// Stream closed: surface the terminal state the runFarm
-				// goroutine just wrote.
-				if mm, err := s.spool.ReadManifest(m.ID); err == nil && mm.State.Terminal() {
-					writeEvent(serve.Event{Type: "state", State: mm.State, Error: mm.Error})
-				}
-				return
-			}
-			if !writeEvent(e) {
-				return
-			}
-		}
-	}
 }

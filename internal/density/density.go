@@ -24,7 +24,7 @@
 //     extra grids, no zeroing, no merge pass, and is worker-count
 //     independent rather than merely fixed-worker-count reproducible.
 //   - Solve batches independent 1-D row/column transforms (each writes a
-//     disjoint output range) over per-worker fft.Spectral scratch cloned
+//     disjoint output range) over per-worker fft.RealPlan scratch cloned
 //     from one precomputed plan, so scheduling cannot change any value.
 //   - Overflow reduces over a FIXED shard count derived from the grid size
 //     (never from the worker count) and sums the per-shard partials in
@@ -55,30 +55,6 @@ const maxGridWorkers = 16
 // count depends only on the grid size, so the partial-sum structure — and
 // therefore the result, bit for bit — is identical for every worker count.
 const ovfBinsPerShard = 4096
-
-// SolverKind selects the 1-D transform engine behind the spectral solve.
-type SolverKind int
-
-const (
-	// SolverReal is the production engine: real-input FFTs of size M/2
-	// with the DCT-II twiddles fused into the pack/unpack loops
-	// (fft.RealPlan) — no 2M mirror buffer, a quarter of the complex
-	// butterflies of the reference path.
-	SolverReal SolverKind = iota
-	// SolverComplex is the reference engine: every 1-D primitive is a
-	// complex FFT of size 2M over the mirror extension (fft.Spectral).
-	// It exists for cross-checking and the Old/New benchmark pair.
-	SolverComplex
-)
-
-// newTransform builds the 1-D engine for dimension size m. RealPlan needs
-// m >= 2; a (degenerate) one-bin dimension falls back to the reference.
-func newTransform(m int, kind SolverKind) fft.Transform {
-	if kind == SolverReal && m >= 2 {
-		return fft.NewRealPlan(m)
-	}
-	return fft.NewSpectral(m)
-}
 
 // solveScratch is one worker's private transform state: transform clones
 // sharing the grid's precomputed FFT plans, plus gather/scatter vectors.
@@ -161,25 +137,28 @@ type Grid struct {
 	stageOvf     func(s int)
 }
 
-// NewGrid creates an M×N grid over region. M and N must be powers of two.
-// The grid starts serial; call SetWorkers to enable data parallelism. The
-// spectral solve uses the real-input engine (SolverReal); NewGridKind
-// selects the reference complex engine instead.
+// NewGrid creates an M×N grid over region. M and N must be powers of two,
+// at least 2. The grid starts serial; call SetWorkers to enable data
+// parallelism. The spectral solve runs on the real-input engine
+// (fft.RealPlan).
 func NewGrid(region geom.Rect, m, n int) *Grid {
-	return NewGridKind(region, m, n, SolverReal)
+	return newGrid(region, m, n, realPlan)
 }
 
-// NewGridKind is NewGrid with an explicit transform engine choice.
-func NewGridKind(region geom.Rect, m, n int, kind SolverKind) *Grid {
-	if m <= 0 || m&(m-1) != 0 || n <= 0 || n&(n-1) != 0 {
-		panic(fmt.Sprintf("density: grid %dx%d must be powers of two", m, n))
+func realPlan(m int) fft.Transform { return fft.NewRealPlan(m) }
+
+// newGrid is NewGrid over an explicit 1-D transform engine — the hook the
+// tests use to cross-check and time the reference engine.
+func newGrid(region geom.Rect, m, n int, transform func(m int) fft.Transform) *Grid {
+	if m < 2 || m&(m-1) != 0 || n < 2 || n&(n-1) != 0 {
+		panic(fmt.Sprintf("density: grid %dx%d must be powers of two >= 2", m, n))
 	}
 	g := &Grid{
 		M: m, N: n, Region: region,
 		BinW: region.W() / float64(m),
 		BinH: region.H() / float64(n),
-		sx:   newTransform(m, kind),
-		sy:   newTransform(n, kind),
+		sx:   transform(m),
+		sy:   transform(n),
 	}
 	size := m * n
 	g.Rho = make([]float64, size)

@@ -4,8 +4,14 @@ import (
 	"math"
 	"testing"
 
+	"puffer/internal/fft"
+	"puffer/internal/fft/fftref"
 	"puffer/internal/geom"
 )
+
+// reference builds the mirror-extension complex engine (fftref.Spectral)
+// for newGrid.
+func reference(m int) fft.Transform { return fftref.NewSpectral(m) }
 
 // TestGridComplexVsRealSolve cross-checks the two transform engines: the
 // fused real-input path must reproduce the mirror-extension reference's
@@ -14,11 +20,11 @@ func TestGridComplexVsRealSolve(t *testing.T) {
 	region := geom.RectWH(0, 0, 64, 64)
 	rects := rectSoup(200, region)
 
-	ref := NewGridKind(region, 64, 32, SolverComplex)
+	ref := newGrid(region, 64, 32, reference)
 	ref.DepositRects(rects)
 	ref.Solve()
 
-	g := NewGridKind(region, 64, 32, SolverReal)
+	g := NewGrid(region, 64, 32)
 	g.DepositRects(rects)
 	g.Solve()
 

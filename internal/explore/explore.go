@@ -334,6 +334,25 @@ type Explorer struct {
 	best    float64 // best (lowest) Y seen; valid when len(history) > 0
 }
 
+// Algorithm3 configures the paper's strategy exploration (Sec. III-C)
+// for a trial budget: TC = budget evaluations per exploration call, EC =
+// max(budget/3, 5) evaluations without improvement before a call stops,
+// two outer rounds, and the relevance groups explored in parallel. The
+// in-process exploration and the distributed farm controller both start
+// here, so their trial schedules agree by construction. Callers attach
+// the objective (Eval or Evaluate) and any telemetry, priors, or worker
+// cap.
+func Algorithm3(params []Param, budget int, seed int64) *Explorer {
+	return &Explorer{
+		Params:    params,
+		TimeLimit: budget,
+		EarlyStop: max(budget/3, 5),
+		Rounds:    2,
+		Parallel:  true,
+		Seed:      seed,
+	}
+}
+
 // History returns all observations made so far.
 func (e *Explorer) History() []Observation {
 	e.mu.Lock()

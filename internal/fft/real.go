@@ -10,10 +10,10 @@ import (
 // sine synthesis for the field, all over the half-sample cosine basis
 // cos(πu(m+1/2)/M). Two implementations exist:
 //
-//   - Spectral, the reference path: every primitive is a complex FFT of
-//     size 2M over the mirror extension of the input.
 //   - RealPlan, the production path: real-input symmetry and fused DCT
 //     twiddles reduce each primitive to one complex FFT of size M/2.
+//   - fftref.Spectral, the test-only reference: every primitive is a
+//     complex FFT of size 2M over the mirror extension of the input.
 //
 // Both are deterministic and allocation-free per call after construction;
 // CloneTransform fans an instance out across workers, sharing the
@@ -35,18 +35,11 @@ type Transform interface {
 	CloneTransform() Transform
 }
 
-// Compile-time interface checks.
-var (
-	_ Transform = (*Spectral)(nil)
-	_ Transform = (*RealPlan)(nil)
-)
-
-// CloneTransform implements Transform for the reference Spectral engine.
-func (s *Spectral) CloneTransform() Transform { return s.Clone() }
+var _ Transform = (*RealPlan)(nil)
 
 // RealPlan computes the density solver's three real transforms of size M
 // (a power of two ≥ 2) through a single complex FFT of size M/2, instead
-// of Spectral's complex FFT of size 2M over the mirror extension. Two
+// of the reference's complex FFT of size 2M over the mirror extension. Two
 // standard identities make that possible, with every pre/post twiddle
 // fused into the pack/unpack loops so no intermediate pass over a length-2M
 // buffer ever happens:
@@ -63,7 +56,7 @@ func (s *Spectral) CloneTransform() Transform { return s.Clone() }
 // FFT, and de-permuted), and the sine evaluation reuses the cosine path
 // through the reversal identity sin(uθ_m) = (-1)^m·cos((M-u)θ_m).
 //
-// Like Spectral, a RealPlan carries private scratch, so one instance is
+// A RealPlan carries private scratch, so one instance is
 // not safe for concurrent use; Clone shares the plan and twiddle tables
 // (immutable after construction) with fresh scratch.
 type RealPlan struct {

@@ -62,37 +62,6 @@ func TestRealPlanMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestRealPlanMatchesComplexPath cross-checks the two Transform
-// implementations: the fused half-size path and the 2M mirror-extension
-// reference must agree to rounding error on every primitive.
-func TestRealPlanMatchesComplexPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for _, m := range realTestSizes {
-		rp := NewRealPlan(m)
-		sp := NewSpectral(m)
-		x := make([]float64, m)
-		for i := range x {
-			x[i] = rng.NormFloat64() * 3
-		}
-		a, b := make([]float64, m), make([]float64, m)
-		tol := 1e-10 * float64(m)
-		for name, run := range map[string]func(tr Transform, out []float64){
-			"CosCoeffs": func(tr Transform, out []float64) { tr.CosCoeffs(x, out) },
-			"EvalCos":   func(tr Transform, out []float64) { tr.EvalCos(x, out) },
-			"EvalSin":   func(tr Transform, out []float64) { tr.EvalSin(x, out) },
-		} {
-			run(rp, a)
-			run(sp, b)
-			for i := range a {
-				if math.Abs(a[i]-b[i]) > tol {
-					t.Errorf("m=%d %s[%d]: real %v vs complex %v", m, name, i, a[i], b[i])
-					break
-				}
-			}
-		}
-	}
-}
-
 // TestRealPlanReconstruction checks the DCT-II / DCT-III inversion
 // identity through the fused path: analysis followed by normalized
 // synthesis reproduces the signal.

@@ -206,3 +206,33 @@ func TestMergeChromeTraces(t *testing.T) {
 		t.Fatal("merged malformed trace")
 	}
 }
+
+// FuzzParseTraceparent: the traceparent parser every request to a worker
+// or a coordinator passes through never panics, and an accepted header
+// re-parses to the same context from its canonical Traceparent form.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, seed := range []string{
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00",
+		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",
+		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00F067AA0BA902B7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, header string) {
+		tc, err := ParseTraceparent(header)
+		if err != nil {
+			return
+		}
+		again, err := ParseTraceparent(tc.Traceparent())
+		if err != nil {
+			t.Fatalf("canonical form %q of accepted %q rejected: %v", tc.Traceparent(), header, err)
+		}
+		if again != tc {
+			t.Fatalf("%q re-parsed as %+v, want %+v", header, again, tc)
+		}
+	})
+}

@@ -1,9 +1,12 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"log/slog"
 	"net/http"
 	"os"
 	"strconv"
@@ -17,52 +20,105 @@ import (
 // included) — backpressure starts at the socket.
 const maxSpecBytes = 64 << 20
 
-// Handler builds the daemon's HTTP surface:
+// Backend is the role-specific half of the job API: what a worker daemon
+// (*Server, executing jobs locally) and a fleet coordinator (executing
+// them on remote workers) do differently behind one HTTP contract. API
+// owns everything else — routing, decoding, spool reads, SSE framing,
+// envelopes, and telemetry.
+type Backend interface {
+	// Admit takes over a fresh queued manifest for a decoded, valid spec:
+	// it spools the job and queues it, or answers it outright (the
+	// coordinator's result cache). The manifest as Admit leaves it is the
+	// 202 body. An *HTTPError picks the status; other errors answer 500.
+	Admit(r *http.Request, m *Manifest) error
+	// Cancel cancels the non-terminal job m. It returns the job's terminal
+	// manifest when the cancel took effect durably (200), or nil when it
+	// was handed to the running execution (202 "canceling").
+	Cancel(m *Manifest) (*Manifest, error)
+	// Events streams m's live progress into out until the stream ends or
+	// ctx is done. It reports false when m has no live event source; the
+	// API then sends m's durable state as the single closing event.
+	Events(ctx context.Context, m *Manifest, out *EventStream) bool
+	// LiveArtifact serves an artifact the spool does not hold yet (a
+	// running remote job's). It reports false when there is none (404).
+	LiveArtifact(w http.ResponseWriter, r *http.Request, m *Manifest, name string) bool
+	// Draining reports whether admission has stopped.
+	Draining() bool
+	// Readiness returns the not-ready reasons beyond draining and the
+	// role's extra /readyz fields.
+	Readiness() (reasons []string, fields map[string]any)
+	// HealthFields and OpsFields are the role's extra /healthz and
+	// /api/v1/ops fields.
+	HealthFields() map[string]any
+	OpsFields() map[string]any
+	// Routes registers the role-only routes (sessions on a worker, nodes
+	// on a coordinator).
+	Routes(mux *http.ServeMux)
+}
+
+// HTTPError is a backend failure with the status the API answers, and a
+// Retry-After header when RetryAfter is positive.
+type HTTPError struct {
+	Status     int
+	RetryAfter time.Duration
+	Err        error
+}
+
+func (e *HTTPError) Error() string { return e.Err.Error() }
+func (e *HTTPError) Unwrap() error { return e.Err }
+
+// API is the job HTTP surface shared by the worker daemon and the fleet
+// coordinator:
 //
 //	POST   /api/v1/jobs                   submit (202; 429+Retry-After when full; 503 draining)
-//	GET    /api/v1/jobs                   list job summaries
+//	GET    /api/v1/jobs                   list job manifests (inline uploads and checkpoints elided)
 //	GET    /api/v1/jobs/{id}              manifest (durable job record)
 //	GET    /api/v1/jobs/{id}/events       SSE progress stream (replay + live)
 //	GET    /api/v1/jobs/{id}/result       final result (409 until done)
 //	GET    /api/v1/jobs/{id}/artifacts/{name}  spooled artifact download
 //	POST   /api/v1/jobs/{id}/cancel       cancel (queued or running)
 //	DELETE /api/v1/jobs/{id}              alias for cancel
-//	POST   /api/v1/sessions               open an ECO session (202; cold place runs async)
-//	GET    /api/v1/sessions               list session summaries
-//	GET    /api/v1/sessions/{id}          session manifest
-//	POST   /api/v1/sessions/{id}/deltas   apply one ECO delta (synchronous warm re-place)
-//	GET    /api/v1/sessions/{id}/events   SSE progress stream (replay + live)
-//	DELETE /api/v1/sessions/{id}          close the session
 //	GET    /healthz                       liveness (always 200 while the process serves)
-//	GET    /readyz                        readiness (503 while draining / saturated / SLO burning)
-//	GET    /api/v1/ops                    operational snapshot (queue, histograms, SLOs)
-//	GET    /metrics, /debug/...           daemon registry (Prometheus, pprof, expvar)
+//	GET    /readyz                        readiness (503 with reasons while not ready)
+//	GET    /api/v1/ops                    operational snapshot (counters, gauges, histograms)
+//	GET    /metrics, /debug/...           the server's registry (Prometheus, pprof, expvar)
 //
-// Every route passes through withTelemetry: request latency lands in the
-// serve.http_request_seconds histogram and each request logs one
-// structured line correlated with any incoming traceparent.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /api/v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /api/v1/jobs", s.handleList)
-	mux.HandleFunc("GET /api/v1/jobs/{id}", s.handleStatus)
-	mux.HandleFunc("GET /api/v1/jobs/{id}/events", s.handleEvents)
-	mux.HandleFunc("GET /api/v1/jobs/{id}/result", s.handleResult)
-	mux.HandleFunc("GET /api/v1/jobs/{id}/artifacts/{name}", s.handleArtifact)
-	mux.HandleFunc("POST /api/v1/jobs/{id}/cancel", s.handleCancel)
-	mux.HandleFunc("DELETE /api/v1/jobs/{id}", s.handleCancel)
-	mux.HandleFunc("POST /api/v1/sessions", s.handleSessionOpen)
-	mux.HandleFunc("GET /api/v1/sessions", s.handleSessionList)
-	mux.HandleFunc("GET /api/v1/sessions/{id}", s.handleSessionStatus)
-	mux.HandleFunc("POST /api/v1/sessions/{id}/deltas", s.handleSessionDelta)
-	mux.HandleFunc("GET /api/v1/sessions/{id}/events", s.handleSessionEvents)
-	mux.HandleFunc("DELETE /api/v1/sessions/{id}", s.handleSessionClose)
-	mux.HandleFunc("GET /healthz", s.handleHealth)
-	mux.HandleFunc("GET /readyz", s.handleReady)
-	mux.HandleFunc("GET /api/v1/ops", s.handleOps)
+// plus the Backend's role-only routes. Every route passes through the
+// telemetry middleware: request latency lands in the Requests histogram
+// and each request logs one structured line with its status, correlated
+// with any incoming traceparent.
+type API struct {
+	Backend Backend
+	// Spool is the job store every read is answered from.
+	Spool *Spool
+	// Registry backs /metrics, /debug/, and the ops snapshot.
+	Registry *obs.Registry
+	// Requests times every request.
+	Requests *obs.Histogram
+	Log      *slog.Logger
+	// Started is the process start, for the ops uptime.
+	Started time.Time
+	// Role names the server in the index page and in 503 bodies.
+	Role string
+}
 
-	// The former cmd/puffer -debug-addr surface, folded into the daemon.
-	debug := obs.NewDebugMux(s.reg)
+// Handler builds the route table.
+func (a *API) Handler() http.Handler {
+	mux := http.NewServeMux()
+	mux.HandleFunc("POST /api/v1/jobs", a.handleSubmit)
+	mux.HandleFunc("GET /api/v1/jobs", a.handleList)
+	mux.HandleFunc("GET /api/v1/jobs/{id}", a.handleStatus)
+	mux.HandleFunc("GET /api/v1/jobs/{id}/events", a.handleEvents)
+	mux.HandleFunc("GET /api/v1/jobs/{id}/result", a.handleResult)
+	mux.HandleFunc("GET /api/v1/jobs/{id}/artifacts/{name}", a.handleArtifact)
+	mux.HandleFunc("POST /api/v1/jobs/{id}/cancel", a.handleCancel)
+	mux.HandleFunc("DELETE /api/v1/jobs/{id}", a.handleCancel)
+	mux.HandleFunc("GET /healthz", a.handleHealth)
+	mux.HandleFunc("GET /readyz", a.handleReady)
+	mux.HandleFunc("GET /api/v1/ops", a.handleOps)
+	a.Backend.Routes(mux)
+
+	debug := obs.NewDebugMux(a.Registry)
 	mux.Handle("/debug/", debug)
 	mux.Handle("/metrics", debug)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
@@ -70,13 +126,13 @@ func (s *Server) Handler() http.Handler {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprint(w, "pufferd placement job service\n\n/api/v1/jobs\n/api/v1/ops\n/healthz\n/readyz\n/metrics\n/debug/pprof/\n/debug/vars\n")
+		fmt.Fprintf(w, "pufferd %s\n\n/api/v1/jobs\n/api/v1/ops\n/healthz\n/readyz\n/metrics\n/debug/pprof/\n/debug/vars\n", a.Role)
 	})
-	return s.withTelemetry(mux)
+	return a.withTelemetry(mux)
 }
 
-// writeJSON writes v with the given status.
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v with the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -86,122 +142,96 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // apiError is the uniform error body.
 func apiError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
+	WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.Draining() {
-		apiError(w, http.StatusServiceUnavailable, "daemon is draining; not admitting jobs")
+// WriteError answers a backend error: an *HTTPError with its status (and
+// Retry-After), anything else as 500.
+func WriteError(w http.ResponseWriter, err error) {
+	var he *HTTPError
+	if !errors.As(err, &he) {
+		apiError(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
+	if he.RetryAfter > 0 {
+		w.Header().Set("Retry-After", strconv.Itoa(int(he.RetryAfter.Seconds())))
+	}
+	apiError(w, he.Status, "%v", he.Err)
+}
+
+// DecodeJobSpec is the one submission decoder: strict JSON (unknown
+// fields are an error), then defaults, validation, and the synthetic
+// profile lookup. Its errors are client errors.
+func DecodeJobSpec(r io.Reader) (JobSpec, error) {
 	var spec JobSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		apiError(w, http.StatusBadRequest, "decode job spec: %v", err)
-		return
+		return spec, fmt.Errorf("decode job spec: %w", err)
 	}
 	spec.Normalize()
 	if err := spec.Validate(); err != nil {
-		apiError(w, http.StatusBadRequest, "invalid job spec: %v", err)
-		return
-	}
-	if spec.Distributed {
-		apiError(w, http.StatusBadRequest,
-			"distributed exploration requires a fleet coordinator; this is a worker daemon")
-		return
+		return spec, fmt.Errorf("invalid job spec: %w", err)
 	}
 	if spec.Profile != "" {
 		if _, err := synth.ProfileByName(spec.Profile); err != nil {
-			apiError(w, http.StatusBadRequest, "%v", err)
-			return
+			return spec, err
 		}
 	}
+	return spec, nil
+}
 
+func (a *API) handleSubmit(w http.ResponseWriter, r *http.Request) {
+	if a.Backend.Draining() {
+		apiError(w, http.StatusServiceUnavailable, "%s is draining; not admitting jobs", a.Role)
+		return
+	}
+	spec, err := DecodeJobSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	if err != nil {
+		apiError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	m := &Manifest{
 		ID:          newJobID(),
 		Spec:        spec,
 		State:       StateQueued,
 		SubmittedAt: time.Now().UTC(),
 	}
-	// Persist a valid incoming trace context with the job: the worker that
-	// eventually claims it (possibly after a daemon restart) adopts it, so
-	// the pipeline's span tree joins the submitting client's trace.
+	// Persist a valid incoming trace context with the job: whatever
+	// eventually runs it (possibly after a restart) adopts it, so the
+	// pipeline's span tree joins the submitting client's trace.
 	if tp := r.Header.Get(obs.TraceparentHeader); tp != "" {
 		if _, err := obs.ParseTraceparent(tp); err == nil {
 			m.TraceParent = tp
 		}
 	}
-	if err := s.spool.CreateJob(m); err != nil {
-		apiError(w, http.StatusInternalServerError, "spool job: %v", err)
+	if err := a.Backend.Admit(r, m); err != nil {
+		WriteError(w, err)
 		return
 	}
-	s.ensureJob(m.ID)
-	if err := s.queue.TryPush(m.ID); err != nil {
-		os.RemoveAll(s.spool.JobDir(m.ID))
-		s.mu.Lock()
-		delete(s.jobs, m.ID)
-		s.mu.Unlock()
-		if errors.Is(err, ErrQueueFull) {
-			s.reg.Counter("serve.jobs_rejected").Inc()
-			retry := s.queue.RetryAfter(s.cfg.Workers)
-			w.Header().Set("Retry-After", strconv.Itoa(int(retry.Seconds())))
-			apiError(w, http.StatusTooManyRequests,
-				"queue full (%d/%d); retry in %s", s.queue.Len(), s.queue.Cap(), retry)
-			return
-		}
-		apiError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	}
-	s.reg.Counter("serve.jobs_submitted").Inc()
-	s.reg.Gauge("serve.queue_depth").Set(float64(s.queue.Len()))
-	s.log.InfoContext(r.Context(), "job queued", "job", m.ID, "kind", spec.Kind)
-	writeJSON(w, http.StatusAccepted, m)
+	WriteJSON(w, http.StatusAccepted, m)
 }
 
-// jobSummary is one row of the list endpoint.
-type jobSummary struct {
-	ID          string     `json:"id"`
-	Kind        string     `json:"kind"`
-	Design      string     `json:"design"`
-	State       JobState   `json:"state"`
-	Stage       string     `json:"stage,omitempty"`
-	Attempts    int        `json:"attempts"`
-	SubmittedAt time.Time  `json:"submitted_at"`
-	FinishedAt  *time.Time `json:"finished_at,omitempty"`
-	HPWL        float64    `json:"hpwl,omitempty"`
-	Error       string     `json:"error,omitempty"`
-}
-
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	ms, err := s.spool.List()
+// handleList answers every spooled manifest. The inline upload and seeded
+// checkpoint are elided: they can run to megabytes per job, and a list row
+// only needs the job's identity, state, provenance, and result.
+func (a *API) handleList(w http.ResponseWriter, r *http.Request) {
+	ms, err := a.Spool.List()
 	if err != nil {
 		apiError(w, http.StatusInternalServerError, "list spool: %v", err)
 		return
 	}
-	out := make([]jobSummary, 0, len(ms))
 	for _, m := range ms {
-		design := m.Spec.Profile
-		if design == "" {
-			design = m.Spec.AuxName()
-		}
-		row := jobSummary{
-			ID: m.ID, Kind: m.Spec.Kind, Design: design, State: m.State,
-			Stage: m.Stage, Attempts: m.Attempts,
-			SubmittedAt: m.SubmittedAt, FinishedAt: m.FinishedAt, Error: m.Error,
-		}
-		if m.Result != nil {
-			row.HPWL = m.Result.HPWL
-		}
-		out = append(out, row)
+		m.Spec.Bookshelf = nil
+		m.Spec.Checkpoint = nil
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, ms)
 }
 
 // loadManifest fetches the manifest for the path's {id}, writing the 404.
-func (s *Server) loadManifest(w http.ResponseWriter, r *http.Request) *Manifest {
+func (a *API) loadManifest(w http.ResponseWriter, r *http.Request) *Manifest {
 	id := r.PathValue("id")
-	m, err := s.spool.ReadManifest(id)
+	m, err := a.Spool.ReadManifest(id)
 	if err != nil {
 		apiError(w, http.StatusNotFound, "job %s: %v", id, err)
 		return nil
@@ -209,14 +239,14 @@ func (s *Server) loadManifest(w http.ResponseWriter, r *http.Request) *Manifest 
 	return m
 }
 
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if m := s.loadManifest(w, r); m != nil {
-		writeJSON(w, http.StatusOK, m)
+func (a *API) handleStatus(w http.ResponseWriter, r *http.Request) {
+	if m := a.loadManifest(w, r); m != nil {
+		WriteJSON(w, http.StatusOK, m)
 	}
 }
 
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	m := s.loadManifest(w, r)
+func (a *API) handleResult(w http.ResponseWriter, r *http.Request) {
+	m := a.loadManifest(w, r)
 	if m == nil {
 		return
 	}
@@ -224,28 +254,40 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusConflict, "job %s is %s, not done", m.ID, m.State)
 		return
 	}
-	writeJSON(w, http.StatusOK, m.Result)
+	res := m.Result
+	if res == nil {
+		res = a.Spool.Origin(m).Result
+	}
+	WriteJSON(w, http.StatusOK, res)
 }
 
-func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	m := s.loadManifest(w, r)
+// handleArtifact serves a spooled artifact: the job's own copy first,
+// then (for a cache hit) the copy of the job that computed the result,
+// then whatever the backend can still fetch live.
+func (a *API) handleArtifact(w http.ResponseWriter, r *http.Request) {
+	m := a.loadManifest(w, r)
 	if m == nil {
 		return
 	}
-	path, err := s.spool.ArtifactPath(m.ID, r.PathValue("name"))
-	if err != nil {
-		apiError(w, http.StatusBadRequest, "%v", err)
-		return
+	name := r.PathValue("name")
+	for _, cand := range []*Manifest{m, a.Spool.Origin(m)} {
+		path, err := a.Spool.ArtifactPath(cand.ID, name)
+		if err != nil {
+			apiError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		if st, serr := os.Stat(path); serr == nil && !st.IsDir() {
+			http.ServeFile(w, r, path)
+			return
+		}
 	}
-	if st, serr := os.Stat(path); serr != nil || st.IsDir() {
-		apiError(w, http.StatusNotFound, "job %s has no artifact %q", m.ID, r.PathValue("name"))
-		return
+	if !a.Backend.LiveArtifact(w, r, m, name) {
+		apiError(w, http.StatusNotFound, "job %s has no artifact %q", m.ID, name)
 	}
-	http.ServeFile(w, r, path)
 }
 
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	m := s.loadManifest(w, r)
+func (a *API) handleCancel(w http.ResponseWriter, r *http.Request) {
+	m := a.loadManifest(w, r)
 	if m == nil {
 		return
 	}
@@ -253,126 +295,99 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		apiError(w, http.StatusConflict, "job %s already %s", m.ID, m.State)
 		return
 	}
-	// Queued (or parked) jobs cancel durably in the spool; running jobs
-	// cancel through their context and the worker records the state.
-	switch m.State {
-	case StateQueued, StateParked:
-		now := time.Now()
-		updated, err := s.spool.Update(m.ID, func(mm *Manifest) error {
-			if mm.State == StateRunning { // raced with a worker claim
-				return nil
-			}
-			mm.State = StateCanceled
-			mm.Error = errJobCanceled.Error()
-			mm.FinishedAt = &now
-			return nil
-		})
-		if err != nil {
-			apiError(w, http.StatusInternalServerError, "%v", err)
-			return
-		}
-		m = updated
-		if m.State == StateCanceled {
-			s.reg.Counter("serve.jobs_canceled").Inc()
-			if a, ok := s.jobRuntime(m.ID); ok {
-				a.hub.Publish(Event{Type: "state", State: StateCanceled, Error: m.Error})
-				a.hub.Close()
-			}
-			// The job never reached a worker, so no runJob call will retire
-			// it; enroll the hub in retention here or it leaks forever.
-			s.retireJob(m.ID)
-			writeJSON(w, http.StatusOK, m)
-			return
-		}
-		fallthrough
-	case StateRunning:
-		if a, ok := s.jobRuntime(m.ID); ok {
-			s.mu.Lock()
-			cancel := a.cancel
-			s.mu.Unlock()
-			if cancel != nil {
-				cancel(errJobCanceled)
-			}
-		}
-		writeJSON(w, http.StatusAccepted, map[string]string{"id": m.ID, "state": "canceling"})
+	done, err := a.Backend.Cancel(m)
+	switch {
+	case err != nil:
+		WriteError(w, err)
+	case done != nil:
+		WriteJSON(w, http.StatusOK, done)
+	default:
+		WriteJSON(w, http.StatusAccepted, map[string]string{"id": m.ID, "state": "canceling"})
 	}
 }
 
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	status := "serving"
-	if s.Draining() {
-		status = "draining"
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":      status,
-		"queue_depth": s.queue.Len(),
-		"queue_cap":   s.queue.Cap(),
-		"workers":     s.cfg.Workers,
-		"active_jobs": s.activeCount(),
-	})
-}
-
-// handleEvents streams the job's progress as server-sent events: the
-// retained replay first, then live events until the job finishes or the
-// client disconnects. Terminal jobs with no retained hub get a single
-// synthetic state event so `pufferctl watch` always terminates.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	m := s.loadManifest(w, r)
+// handleEvents streams the job's progress as server-sent events. A job
+// with no live source gets its durable state as a single event, so
+// `pufferctl watch` always terminates.
+func (a *API) handleEvents(w http.ResponseWriter, r *http.Request) {
+	m := a.loadManifest(w, r)
 	if m == nil {
 		return
 	}
-	var hub *Hub
-	if a, ok := s.jobRuntime(m.ID); ok {
-		hub = a.hub
-	}
-	s.streamHub(w, r, hub, Event{Type: "state", State: m.State, Error: m.Error})
+	serveEvents(w, func(out *EventStream) {
+		if !a.Backend.Events(r.Context(), m, out) {
+			out.Send(Event{Type: "state", State: m.State, Error: m.Error})
+		}
+	})
 }
 
-// streamHub writes an SSE stream from hub: the retained replay first, then
-// live events until the stream closes or the client disconnects. A nil hub
-// (no runtime this boot, or retention expired) gets the single synthetic
-// fallback event so watchers always terminate. Each live write+flush is
-// timed into serve.sse_fanout_seconds — the latency a watcher sees between
-// an event being published and reaching its socket buffer.
-func (s *Server) streamHub(w http.ResponseWriter, r *http.Request, hub *Hub, fallback Event) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		apiError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
+// lifecycle is the shared status word of /healthz and /api/v1/ops.
+func (a *API) lifecycle() string {
+	if a.Backend.Draining() {
+		return "draining"
 	}
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
+	return "serving"
+}
 
-	writeEvent := func(e Event) {
-		data, _ := json.Marshal(e)
-		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", e.Type, data)
-	}
+func (a *API) handleHealth(w http.ResponseWriter, r *http.Request) {
+	body := a.Backend.HealthFields()
+	body["status"] = a.lifecycle()
+	WriteJSON(w, http.StatusOK, body)
+}
 
-	if hub == nil {
-		writeEvent(fallback)
-		fl.Flush()
-		return
+// handleReady is readiness, distinct from /healthz liveness: a draining or
+// saturated server is alive but should stop receiving traffic, so it
+// answers 503 here while /healthz stays 200. The body carries the reasons
+// (and the role's detail, e.g. the worker's SLO evaluation) so a probe
+// failure is diagnosable from the probe itself.
+func (a *API) handleReady(w http.ResponseWriter, r *http.Request) {
+	var reasons []string
+	if a.Backend.Draining() {
+		reasons = append(reasons, "draining")
 	}
-	replay, live, cancel := hub.Subscribe()
-	defer cancel()
-	for _, e := range replay {
-		writeEvent(e)
+	more, body := a.Backend.Readiness()
+	reasons = append(reasons, more...)
+	if body == nil {
+		body = map[string]any{}
 	}
-	fl.Flush()
-	for {
-		select {
-		case e, open := <-live:
-			if !open {
-				return
-			}
-			t0 := time.Now()
-			writeEvent(e)
-			fl.Flush()
-			s.hSSE.ObserveSince(t0)
-		case <-r.Context().Done():
-			return
+	body["ready"] = len(reasons) == 0
+	body["reasons"] = reasons
+	status := http.StatusOK
+	if len(reasons) > 0 {
+		status = http.StatusServiceUnavailable
+	}
+	WriteJSON(w, status, body)
+}
+
+// histogramSummary is the operator-facing digest of one latency histogram.
+type histogramSummary struct {
+	Count uint64  `json:"count"`
+	Mean  float64 `json:"mean_seconds"`
+	P50   float64 `json:"p50_seconds"`
+	P95   float64 `json:"p95_seconds"`
+	P99   float64 `json:"p99_seconds"`
+}
+
+// handleOps is the one-call operational picture `pufferctl top` and
+// `diag -ops` render: lifecycle, the registry's counters, gauges, and
+// latency digests, plus the role's own fields.
+func (a *API) handleOps(w http.ResponseWriter, r *http.Request) {
+	snap := a.Registry.Snapshot()
+	hists := make(map[string]histogramSummary, len(snap.Histograms))
+	for name, hs := range snap.Histograms {
+		hists[name] = histogramSummary{
+			Count: hs.Count,
+			Mean:  hs.Mean(),
+			P50:   hs.Quantile(0.50),
+			P95:   hs.Quantile(0.95),
+			P99:   hs.Quantile(0.99),
 		}
 	}
+	body := a.Backend.OpsFields()
+	body["status"] = a.lifecycle()
+	body["uptime_seconds"] = time.Since(a.Started).Round(time.Second).Seconds()
+	body["counters"] = snap.Counters
+	body["gauges"] = snap.Gauges
+	body["histograms"] = hists
+	WriteJSON(w, http.StatusOK, body)
 }

@@ -1,7 +1,15 @@
 package serve
 
 import (
+	"bufio"
+	"context"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"strings"
 	"sync"
+	"time"
 
 	"puffer/internal/obs"
 )
@@ -119,6 +127,99 @@ func (h *Hub) Subscribe() (replay []Event, ch chan Event, cancel func()) {
 		if _, ok := h.subs[ch]; ok {
 			delete(h.subs, ch)
 			close(ch)
+		}
+	}
+}
+
+// Stream writes the hub into out: the retained replay first (one flush),
+// then live events until the hub closes (true) or ctx ends or the client
+// goes away (false). Each live write+flush is timed into fanout (nil
+// skips it) — the latency a watcher sees between an event being
+// published and reaching its socket buffer.
+func (h *Hub) Stream(ctx context.Context, out *EventStream, fanout *obs.Histogram) bool {
+	replay, live, cancel := h.Subscribe()
+	defer cancel()
+	for _, e := range replay {
+		if !out.Write(e) {
+			return false
+		}
+	}
+	out.Flush()
+	for {
+		select {
+		case e, open := <-live:
+			if !open {
+				return true
+			}
+			t0 := time.Now()
+			if !out.Send(e) {
+				return false
+			}
+			fanout.ObserveSince(t0)
+		case <-ctx.Done():
+			return false
+		}
+	}
+}
+
+// EventStream is an open server-sent-event response: one
+// "event: <type>\ndata: <json>\n\n" frame per Event.
+type EventStream struct {
+	w  io.Writer
+	fl http.Flusher
+}
+
+// serveEvents opens an SSE response on w and hands it to fn.
+func serveEvents(w http.ResponseWriter, fn func(out *EventStream)) {
+	fl, ok := w.(http.Flusher)
+	if !ok {
+		apiError(w, http.StatusInternalServerError, "streaming unsupported")
+		return
+	}
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.Header().Set("Connection", "keep-alive")
+	w.WriteHeader(http.StatusOK)
+	fn(&EventStream{w: w, fl: fl})
+}
+
+// Write frames e without flushing; it reports false once the client is
+// gone.
+func (s *EventStream) Write(e Event) bool {
+	data, _ := json.Marshal(e)
+	_, err := fmt.Fprintf(s.w, "event: %s\ndata: %s\n\n", e.Type, data)
+	return err == nil
+}
+
+// Flush pushes the written frames to the client.
+func (s *EventStream) Flush() { s.fl.Flush() }
+
+// Send writes and flushes one event.
+func (s *EventStream) Send(e Event) bool {
+	if !s.Write(e) {
+		return false
+	}
+	s.fl.Flush()
+	return true
+}
+
+// ReadEvents decodes an SSE stream written by EventStream, handing each
+// event to fn until the stream ends or fn returns false. Lines that are
+// not well-formed data frames are skipped.
+func ReadEvents(r io.Reader, fn func(Event) bool) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+	for sc.Scan() {
+		data, ok := strings.CutPrefix(sc.Text(), "data: ")
+		if !ok {
+			continue
+		}
+		var e Event
+		if json.Unmarshal([]byte(data), &e) != nil {
+			continue
+		}
+		if !fn(e) {
+			return
 		}
 	}
 }

@@ -36,12 +36,11 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// withTelemetry wraps the daemon mux: every request is timed into the
-// serve.http_request_seconds histogram and logged with its trace context.
-// An incoming W3C traceparent header becomes log correlation labels here;
-// job submissions additionally persist it so the worker's tracer joins the
-// caller's trace (see runJob).
-func (s *Server) withTelemetry(next http.Handler) http.Handler {
+// withTelemetry wraps the mux: every request is timed into the Requests
+// histogram and logged with its status and trace context. An incoming W3C
+// traceparent header becomes log correlation labels here; job submissions
+// additionally persist it so the executing tracer joins the caller's trace.
+func (a *API) withTelemetry(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		ctx := r.Context()
@@ -54,18 +53,18 @@ func (s *Server) withTelemetry(next http.Handler) http.Handler {
 		sw := &statusWriter{ResponseWriter: w}
 		next.ServeHTTP(sw, r)
 		wall := time.Since(start)
-		s.hHTTP.Observe(wall.Seconds())
+		a.Requests.Observe(wall.Seconds())
 		if sw.status == 0 {
 			sw.status = http.StatusOK
 		}
-		// Probes and scrapes log at debug so an -v daemon log stays about
-		// the API; everything else is one info line per request.
+		// Probes, scrapes, and fleet heartbeats log at debug so an -v log
+		// stays about the API; everything else is one info line per request.
 		level := slog.LevelInfo
 		if r.URL.Path == "/healthz" || r.URL.Path == "/readyz" || r.URL.Path == "/metrics" ||
-			strings.HasPrefix(r.URL.Path, "/debug/") {
+			r.URL.Path == "/api/v1/nodes" || strings.HasPrefix(r.URL.Path, "/debug/") {
 			level = slog.LevelDebug
 		}
-		s.log.LogAttrs(ctx, level, "http request",
+		a.Log.LogAttrs(ctx, level, "http request",
 			slog.String("method", r.Method),
 			slog.String("path", r.URL.Path),
 			slog.Int("status", sw.status),

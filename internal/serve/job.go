@@ -11,10 +11,14 @@
 //	job.go    — the job vocabulary: JobSpec, JobState, Manifest, JobResult
 //	spool.go  — the on-disk job store (manifests, designs, checkpoints, artifacts)
 //	queue.go  — the bounded admission queue with Retry-After estimation
-//	events.go — the per-job progress hub (ring buffer + live subscribers)
+//	events.go — the per-job progress hub and SSE framing (EventStream, ReadEvents)
 //	worker.go — the worker pool executing jobs through pipeline/explore
 //	server.go — lifecycle: recovery, drain, daemon metrics
-//	api.go    — the HTTP surface (REST + SSE + artifact download + debug)
+//	api.go    — the job HTTP layer (API) over a Backend, shared with the
+//	            fleet coordinator (internal/coord)
+//	http.go   — the request telemetry middleware
+//	local.go  — the local Backend: this daemon's queue, hubs, and sessions
+//	session*.go — ECO sessions (worker-only routes)
 package serve
 
 import (

@@ -57,7 +57,7 @@ func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	go s.openSession(m, rt)
 	s.reg.Counter("serve.sessions_submitted").Inc()
 	s.log.InfoContext(r.Context(), "session opening", "session", m.ID, "design", sessionDesignName(&spec))
-	writeJSON(w, http.StatusAccepted, m)
+	WriteJSON(w, http.StatusAccepted, m)
 }
 
 func sessionDesignName(spec *SessionSpec) string {
@@ -100,7 +100,7 @@ func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, row)
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 // loadSessionManifest fetches the manifest for the path's {id}, writing
@@ -117,7 +117,7 @@ func (s *Server) loadSessionManifest(w http.ResponseWriter, r *http.Request) *Se
 
 func (s *Server) handleSessionStatus(w http.ResponseWriter, r *http.Request) {
 	if m := s.loadSessionManifest(w, r); m != nil {
-		writeJSON(w, http.StatusOK, m)
+		WriteJSON(w, http.StatusOK, m)
 	}
 }
 
@@ -267,7 +267,7 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	s.log.InfoContext(r.Context(), "session delta applied",
 		"session", m.ID, "delta", um.Deltas, "hpwl", sn.LastHPWL,
 		"wall", time.Since(start).Round(time.Millisecond), "rehydrated", rehydrated)
-	writeJSON(w, http.StatusOK, deltaResponse{
+	WriteJSON(w, http.StatusOK, deltaResponse{
 		ID:         m.ID,
 		Deltas:     um.Deltas,
 		HPWL:       res.HPWL,
@@ -317,7 +317,7 @@ func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
 	s.retireSession(m.ID)
 	s.reg.Counter("serve.sessions_closed").Inc()
 	s.log.InfoContext(r.Context(), "session closed", "session", m.ID, "deltas", um.Deltas)
-	writeJSON(w, http.StatusOK, um)
+	WriteJSON(w, http.StatusOK, um)
 }
 
 // handleSessionEvents streams the session's progress hub as SSE, exactly
@@ -328,9 +328,11 @@ func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
 	if m == nil {
 		return
 	}
-	var hub *Hub
-	if rt, ok := s.sessionRuntimeFor(m.ID); ok {
-		hub = rt.hub
-	}
-	s.streamHub(w, r, hub, Event{Type: "state", State: JobState(m.State), Error: m.Error})
+	serveEvents(w, func(out *EventStream) {
+		if rt, ok := s.sessionRuntimeFor(m.ID); ok {
+			rt.hub.Stream(r.Context(), out, s.hSSE)
+			return
+		}
+		out.Send(Event{Type: "state", State: JobState(m.State), Error: m.Error})
+	})
 }

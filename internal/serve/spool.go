@@ -162,6 +162,17 @@ func (sp *Spool) ReadManifest(id string) (*Manifest, error) {
 	return m, nil
 }
 
+// Origin returns the manifest of the job that computed m's result: the
+// origin of a cache hit when it is still readable, m itself otherwise.
+func (sp *Spool) Origin(m *Manifest) *Manifest {
+	if m.CacheHit && m.Origin != "" {
+		if origin, err := sp.ReadManifest(m.Origin); err == nil {
+			return origin
+		}
+	}
+	return m
+}
+
 // Update applies fn to the job's manifest under the spool lock and
 // persists the result — the one safe way to make a state transition.
 func (sp *Spool) Update(id string, fn func(*Manifest) error) (*Manifest, error) {
@@ -188,7 +199,7 @@ func (sp *Spool) List() ([]*Manifest, error) {
 	if err != nil {
 		return nil, err
 	}
-	var out []*Manifest
+	out := make([]*Manifest, 0, len(entries))
 	for _, e := range entries {
 		if !e.IsDir() {
 			continue

@@ -424,7 +424,7 @@ func (s *Server) execExplore(ctx context.Context, m *Manifest, a *activeJob, rec
 		return nil, err
 	}
 	start := time.Now()
-	final, _, trials, err := puffer.ExploreStrategyOpts(ctx, d, cfg.Place, puffer.ExploreOptions{
+	final, _, trials, err := puffer.ExploreStrategy(ctx, d, cfg.Place, puffer.ExploreOptions{
 		Budget:  m.Spec.Budget,
 		Seed:    m.Spec.Seed,
 		Workers: m.Spec.Workers,

@@ -85,8 +85,9 @@ type Config struct {
 	// Backend runs the trials. Required.
 	Backend Backend
 	// Checkpoint persists the state manifest; it is called after every
-	// submission, observation, and range merge, serialized by the
-	// controller. Nil disables checkpointing.
+	// submission, observation, and range merge, concurrently from the
+	// parallel group chains, so it must be goroutine-safe. Nil disables
+	// checkpointing.
 	Checkpoint func(*State) error
 	Logf       func(format string, args ...any)
 	// Obs receives the explorer's trial telemetry plus the farm counters
@@ -175,23 +176,16 @@ func Run(ctx context.Context, cfg Config, prev *State) (*Result, error) {
 			c.prev[trialKey{t.Round, t.Group, t.Index}] = t
 		}
 	}
-	ex := &explore.Explorer{
-		Params: cfg.Params,
-		// Algorithm 2/3 knobs mirror the in-process explorer
-		// (puffer.ExploreStrategyObs) exactly, so the trial schedule —
-		// and therefore the per-trial config digests — match.
-		TimeLimit:  cfg.Budget,
-		EarlyStop:  maxInt(cfg.Budget/3, 5),
-		Rounds:     2,
-		Parallel:   true,
-		Seed:       cfg.Seed,
-		Logf:       cfg.Logf,
-		Obs:        cfg.Obs,
-		Priors:     cfg.Priors,
-		SeedRanges: cfg.SeedRanges,
-		Evaluate:   c.evaluate,
-		Snapshot:   c.snapshotRanges,
-	}
+	// Algorithm 2/3 knobs come from the same constructor as the in-process
+	// explorer (puffer.ExploreStrategy), so the trial schedule — and
+	// therefore the per-trial config digests — match.
+	ex := explore.Algorithm3(cfg.Params, cfg.Budget, cfg.Seed)
+	ex.Logf = cfg.Logf
+	ex.Obs = cfg.Obs
+	ex.Priors = cfg.Priors
+	ex.SeedRanges = cfg.SeedRanges
+	ex.Evaluate = c.evaluate
+	ex.Snapshot = c.snapshotRanges
 	c.checkpoint()
 	final, best, err := ex.RunCtx(ctx)
 	if err != nil {
@@ -358,9 +352,11 @@ func (c *controller) snapshotRanges(ranges map[string]explore.Range) {
 	c.checkpoint()
 }
 
-// checkpoint persists a consistent copy of the state. Serialized by ckMu
-// so manifest writes never interleave; errors are logged, not fatal — a
-// missed checkpoint only costs resume granularity.
+// checkpoint persists a consistent copy of the state. Concurrent group
+// chains call it in parallel, so a slower write may land after a newer
+// one; the next call (and the final one, made alone) supersedes it.
+// Errors are logged, not fatal — a missed or stale checkpoint only costs
+// resume granularity.
 func (c *controller) checkpoint() {
 	if c.cfg.Checkpoint == nil {
 		return
@@ -424,11 +420,4 @@ func sameAssignment(a map[string]float64, b explore.Assignment) bool {
 		}
 	}
 	return true
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

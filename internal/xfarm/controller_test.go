@@ -214,17 +214,10 @@ func TestControllerDeterminism(t *testing.T) {
 	const seed, budget = 42, 3
 	params := testParams()
 
-	// In-process reference: the plain explorer, exactly as
-	// ExploreStrategyObs configures it.
-	ref := &explore.Explorer{
-		Params:    params,
-		Eval:      testObjective,
-		TimeLimit: budget,
-		EarlyStop: maxInt(budget/3, 5),
-		Rounds:    2,
-		Parallel:  true,
-		Seed:      seed,
-	}
+	// In-process reference: the plain explorer, from the constructor
+	// puffer.ExploreStrategy uses.
+	ref := explore.Algorithm3(params, budget, seed)
+	ref.Eval = testObjective
 	refFinal, refBest := ref.Run()
 
 	var schedules []map[string]string
@@ -279,9 +272,8 @@ func TestControllerResume(t *testing.T) {
 	fleet := newFakeFleet(2, testObjective)
 
 	var (
-		mu    sync.Mutex
-		last  []byte
-		kills int
+		mu   sync.Mutex
+		last []byte
 	)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -300,7 +292,6 @@ func TestControllerResume(t *testing.T) {
 		last = data
 		mu.Unlock()
 		if done >= 4 {
-			kills++
 			cancel() // SIGKILL stand-in: the controller dies mid-flight
 		}
 		return nil

@@ -135,36 +135,7 @@ func StrategyObjective(d *netlist.Design, placeCfg place.Config, evalCfg router.
 	}
 }
 
-// ExploreStrategy runs the full Algorithm-3 strategy exploration against a
-// small design (the paper tunes on a small routability-challenged design
-// and applies the result to the large benchmarks) and returns the tuned
-// strategy plus the best observed one.
-func ExploreStrategy(d *netlist.Design, placeCfg place.Config, budget int, seed int64, logf func(string, ...any)) (final, best padding.Strategy, obs int) {
-	final, best, obs, _ = ExploreStrategyCtx(context.Background(), d, placeCfg, budget, seed, logf)
-	return final, best, obs
-}
-
-// ExploreStrategyCtx is ExploreStrategy with cancellation support: the
-// context is observed between SMBO trials. On cancellation the best
-// strategies found so far are still returned, alongside an error wrapping
-// ErrCanceled.
-func ExploreStrategyCtx(ctx context.Context, d *netlist.Design, placeCfg place.Config, budget int, seed int64, logf func(string, ...any)) (final, best padding.Strategy, obs int, err error) {
-	return ExploreStrategyObs(ctx, d, placeCfg, budget, seed, logf, nil)
-}
-
-// ExploreStrategyObs is ExploreStrategyCtx with telemetry: per-trial
-// scores, the trial counter, and the best-score gauge land on rec's
-// registry (explore.trials / explore.trial.score / explore.best_score),
-// and the exploration opens a trace span. A job server streams rec's
-// samples to watchers while the exploration runs. rec may be nil.
-func ExploreStrategyObs(ctx context.Context, d *netlist.Design, placeCfg place.Config, budget int, seed int64, logf func(string, ...any), rec *telemetry.Recorder) (final, best padding.Strategy, obs int, err error) {
-	return ExploreStrategyOpts(ctx, d, placeCfg, ExploreOptions{
-		Budget: budget, Seed: seed, Logf: logf, Obs: rec,
-	})
-}
-
-// ExploreOptions parameterizes ExploreStrategyOpts beyond the positional
-// budget/seed pair.
+// ExploreOptions parameterizes ExploreStrategy.
 type ExploreOptions struct {
 	// Budget is TC of Algorithm 2 (trials per exploration call).
 	Budget int
@@ -175,37 +146,32 @@ type ExploreOptions struct {
 	// is the exploration's peak-memory/CPU knob — and Workers=1 is the
 	// serial baseline a distributed farm is benchmarked against.
 	Workers int
-	Logf    func(format string, args ...any)
-	Obs     *telemetry.Recorder
+	// Logf receives the exploration's progress lines (nil = silent).
+	Logf func(format string, args ...any)
+	// Obs receives per-trial scores, the trial counter, and the
+	// best-score gauge (explore.trials / explore.trial.score /
+	// explore.best_score), and the exploration's trace spans; a job
+	// server streams its samples to watchers. Nil disables telemetry.
+	Obs *telemetry.Recorder
 }
 
-// ExploreStrategyOpts runs Algorithm 3 with explicit options. It is the
-// common core of the in-process exploration paths; the distributed farm
-// mirrors its Explorer knobs so both produce identical trial schedules.
-func ExploreStrategyOpts(ctx context.Context, d *netlist.Design, placeCfg place.Config, opt ExploreOptions) (final, best padding.Strategy, obs int, err error) {
-	e := &explore.Explorer{
-		Obs:       opt.Obs,
-		Params:    StrategyParams(),
-		Eval:      StrategyObjective(d, placeCfg, router.DefaultConfig()),
-		TimeLimit: opt.Budget,
-		EarlyStop: max(opt.Budget/3, 5),
-		Rounds:    2,
-		Parallel:  true,
-		Workers:   opt.Workers,
-		Seed:      opt.Seed,
-		Logf:      opt.Logf,
-	}
+// ExploreStrategy runs the full Algorithm-3 strategy exploration against a
+// small design (the paper tunes on a small routability-challenged design
+// and applies the result to the large benchmarks) and returns the tuned
+// strategy, the best observed one, and the number of observations. The
+// context is observed between SMBO trials: on cancellation the best
+// strategies found so far are still returned, alongside an error wrapping
+// ErrCanceled.
+func ExploreStrategy(ctx context.Context, d *netlist.Design, placeCfg place.Config, opt ExploreOptions) (final, best padding.Strategy, obs int, err error) {
+	e := explore.Algorithm3(StrategyParams(), opt.Budget, opt.Seed)
+	e.Eval = StrategyObjective(d, placeCfg, router.DefaultConfig())
+	e.Workers = opt.Workers
+	e.Logf = opt.Logf
+	e.Obs = opt.Obs
 	fa, ba, err := e.RunCtx(ctx)
 	final = padding.DefaultStrategy()
 	ApplyAssignment(&final, fa)
 	best = padding.DefaultStrategy()
 	ApplyAssignment(&best, ba)
 	return final, best, len(e.History()), err
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

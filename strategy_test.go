@@ -1,6 +1,7 @@
 package puffer
 
 import (
+	"context"
 	"testing"
 
 	"puffer/internal/explore"
@@ -94,7 +95,10 @@ func TestExploreStrategySmoke(t *testing.T) {
 	cfg := place.DefaultConfig()
 	cfg.MaxIters = 50
 	cfg.GridM, cfg.GridN = 16, 16
-	final, best, n := ExploreStrategy(d, cfg, 4, 7, nil)
+	final, best, n, err := ExploreStrategy(context.Background(), d, cfg, ExploreOptions{Budget: 4, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if n == 0 {
 		t.Fatal("no observations")
 	}
