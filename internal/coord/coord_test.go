@@ -50,8 +50,8 @@ func (w *fleetWorker) manifest() NodeManifest {
 	}
 }
 
-// register posts one heartbeat for w to the coordinator (the tests use a
-// long DeadAfter instead of a heartbeat loop).
+// register posts one heartbeat for w to the coordinator (most tests use a
+// long DeadAfter instead of a heartbeat loop; see heartbeat).
 func (w *fleetWorker) register(t *testing.T, coordURL string) {
 	t.Helper()
 	body, err := json.Marshal(w.manifest())
@@ -66,6 +66,38 @@ func (w *fleetWorker) register(t *testing.T, coordURL string) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("heartbeat answered %d", resp.StatusCode)
 	}
+}
+
+// heartbeat registers w now and then again every second until the test
+// ends, like a worker's announcer, so the registration cannot expire
+// however long the test runs.
+func (w *fleetWorker) heartbeat(t *testing.T, coordURL string) {
+	t.Helper()
+	w.register(t, coordURL)
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(time.Second)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-tick.C:
+				body, err := json.Marshal(w.manifest())
+				if err != nil {
+					continue
+				}
+				if resp, err := http.Post(coordURL+"/api/v1/nodes", "application/json", bytes.NewReader(body)); err == nil {
+					resp.Body.Close()
+				}
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		close(stop)
+		<-done
+	})
 }
 
 func newCoordinator(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -395,7 +427,9 @@ func TestFailover(t *testing.T) {
 	w1 := newFleetWorker(t, "w1")
 	w2 := newFleetWorker(t, "w2")
 	cs, ch := newCoordinator(t, Config{})
-	w1.register(t, ch.URL)
+	// Heartbeat loops, not one-shot registrations: under -race the
+	// reference job alone can outlive a DeadAfter of one minute.
+	w1.heartbeat(t, ch.URL)
 
 	// Reference: uninterrupted run on w1.
 	ref := submit(t, ch.URL, slow, nil)
@@ -410,7 +444,7 @@ func TestFailover(t *testing.T) {
 
 	// Register w2, then drain w1: the running job parks, the watcher sees
 	// it and requeues, and dispatch lands on w2.
-	w2.register(t, ch.URL)
+	w2.heartbeat(t, ch.URL)
 	drainCtx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 	if err := w1.srv.Drain(drainCtx); err != nil {

@@ -145,6 +145,11 @@ func apiError(w http.ResponseWriter, status int, format string, args ...any) {
 	WriteJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// httpErrorf is an *HTTPError with a formatted message.
+func httpErrorf(status int, format string, args ...any) error {
+	return &HTTPError{Status: status, Err: fmt.Errorf(format, args...)}
+}
+
 // WriteError answers a backend error: an *HTTPError with its status (and
 // Retry-After), anything else as 500.
 func WriteError(w http.ResponseWriter, err error) {
@@ -159,31 +164,57 @@ func WriteError(w http.ResponseWriter, err error) {
 	apiError(w, he.Status, "%v", he.Err)
 }
 
-// DecodeJobSpec is the one submission decoder: strict JSON (unknown
-// fields are an error), then defaults, validation, and the synthetic
-// profile lookup. Its errors are client errors.
-func DecodeJobSpec(r io.Reader) (JobSpec, error) {
-	var spec JobSpec
+// errDraining is the 503 a draining server answers new work with.
+func errDraining(role, what string) error {
+	return httpErrorf(http.StatusServiceUnavailable, "%s is draining; %s", role, what)
+}
+
+// specDoc is a client-submitted spec: a JobSpec, or a SessionSpec, which
+// shares the job rules through asJob.
+type specDoc interface {
+	Normalize()
+	Validate() error
+	asJob() JobSpec
+}
+
+// decodeSpec is the one spec decoder: strict JSON (unknown fields are an
+// error), then defaults, validation, and the synthetic profile lookup. Its
+// errors are client errors.
+func decodeSpec(r io.Reader, s specDoc, what string) error {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		return spec, fmt.Errorf("decode job spec: %w", err)
+	if err := dec.Decode(s); err != nil {
+		return fmt.Errorf("decode %s spec: %w", what, err)
 	}
-	spec.Normalize()
-	if err := spec.Validate(); err != nil {
-		return spec, fmt.Errorf("invalid job spec: %w", err)
+	s.Normalize()
+	if err := s.Validate(); err != nil {
+		return fmt.Errorf("invalid %s spec: %w", what, err)
 	}
-	if spec.Profile != "" {
-		if _, err := synth.ProfileByName(spec.Profile); err != nil {
-			return spec, err
+	if p := s.asJob().Profile; p != "" {
+		if _, err := synth.ProfileByName(p); err != nil {
+			return err
 		}
 	}
-	return spec, nil
+	return nil
+}
+
+// DecodeJobSpec decodes a job submission.
+func DecodeJobSpec(r io.Reader) (JobSpec, error) {
+	var s JobSpec
+	err := decodeSpec(r, &s, "job")
+	return s, err
+}
+
+// DecodeSessionSpec decodes an ECO session open.
+func DecodeSessionSpec(r io.Reader) (SessionSpec, error) {
+	var s SessionSpec
+	err := decodeSpec(r, &s, "session")
+	return s, err
 }
 
 func (a *API) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	if a.Backend.Draining() {
-		apiError(w, http.StatusServiceUnavailable, "%s is draining; not admitting jobs", a.Role)
+		WriteError(w, errDraining(a.Role, "not admitting jobs"))
 		return
 	}
 	spec, err := DecodeJobSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
@@ -228,25 +259,26 @@ func (a *API) handleList(w http.ResponseWriter, r *http.Request) {
 	WriteJSON(w, http.StatusOK, ms)
 }
 
-// loadManifest fetches the manifest for the path's {id}, writing the 404.
-func (a *API) loadManifest(w http.ResponseWriter, r *http.Request) *Manifest {
+// loadRecord fetches the job or session manifest for the path's {id},
+// writing the 404.
+func loadRecord[T any, P recordPtr[T]](w http.ResponseWriter, r *http.Request, sp *Spool, k recordStore[T, P]) P {
 	id := r.PathValue("id")
-	m, err := a.Spool.ReadManifest(id)
+	m, err := k.read(sp, id)
 	if err != nil {
-		apiError(w, http.StatusNotFound, "job %s: %v", id, err)
+		apiError(w, http.StatusNotFound, "%s %s: %v", k.noun, id, err)
 		return nil
 	}
 	return m
 }
 
 func (a *API) handleStatus(w http.ResponseWriter, r *http.Request) {
-	if m := a.loadManifest(w, r); m != nil {
+	if m := loadRecord(w, r, a.Spool, jobRecords); m != nil {
 		WriteJSON(w, http.StatusOK, m)
 	}
 }
 
 func (a *API) handleResult(w http.ResponseWriter, r *http.Request) {
-	m := a.loadManifest(w, r)
+	m := loadRecord(w, r, a.Spool, jobRecords)
 	if m == nil {
 		return
 	}
@@ -265,7 +297,7 @@ func (a *API) handleResult(w http.ResponseWriter, r *http.Request) {
 // then (for a cache hit) the copy of the job that computed the result,
 // then whatever the backend can still fetch live.
 func (a *API) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	m := a.loadManifest(w, r)
+	m := loadRecord(w, r, a.Spool, jobRecords)
 	if m == nil {
 		return
 	}
@@ -287,7 +319,7 @@ func (a *API) handleArtifact(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *API) handleCancel(w http.ResponseWriter, r *http.Request) {
-	m := a.loadManifest(w, r)
+	m := loadRecord(w, r, a.Spool, jobRecords)
 	if m == nil {
 		return
 	}
@@ -306,18 +338,14 @@ func (a *API) handleCancel(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleEvents streams the job's progress as server-sent events. A job
-// with no live source gets its durable state as a single event, so
-// `pufferctl watch` always terminates.
+// handleEvents streams the job's progress as server-sent events.
 func (a *API) handleEvents(w http.ResponseWriter, r *http.Request) {
-	m := a.loadManifest(w, r)
+	m := loadRecord(w, r, a.Spool, jobRecords)
 	if m == nil {
 		return
 	}
-	serveEvents(w, func(out *EventStream) {
-		if !a.Backend.Events(r.Context(), m, out) {
-			out.Send(Event{Type: "state", State: m.State, Error: m.Error})
-		}
+	serveEvents(w, Event{Type: "state", State: m.State, Error: m.Error}, func(out *EventStream) bool {
+		return a.Backend.Events(r.Context(), m, out)
 	})
 }
 

@@ -169,8 +169,10 @@ type EventStream struct {
 	fl http.Flusher
 }
 
-// serveEvents opens an SSE response on w and hands it to fn.
-func serveEvents(w http.ResponseWriter, fn func(out *EventStream)) {
+// serveEvents opens an SSE response on w and streams live into it. When
+// live reports no source, the record's durable state goes out as the one
+// final event instead, so `pufferctl watch` always terminates.
+func serveEvents(w http.ResponseWriter, final Event, live func(out *EventStream) bool) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		apiError(w, http.StatusInternalServerError, "streaming unsupported")
@@ -180,7 +182,10 @@ func serveEvents(w http.ResponseWriter, fn func(out *EventStream)) {
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
-	fn(&EventStream{w: w, fl: fl})
+	out := &EventStream{w: w, fl: fl}
+	if !live(out) {
+		out.Send(final)
+	}
 }
 
 // Write frames e without flushing; it reports false once the client is

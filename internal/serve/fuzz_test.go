@@ -64,3 +64,44 @@ func TestDecodeJobSpecErrors(t *testing.T) {
 		t.Fatalf("defaults not applied: %+v, %v", spec, err)
 	}
 }
+
+// FuzzDecodeSessionSpec: the session-open decoder shares the job decoder's
+// path and contract — no panic, and an accepted spec re-encodes and
+// re-decodes to an equal accepted spec (equal encodings: a raw strategy
+// document is compacted by the first encode).
+func FuzzDecodeSessionSpec(f *testing.F) {
+	for _, seed := range []string{
+		`{"profile":"MEDIA_SUBSYS","scale":3000,"seed":5}`,
+		`{"profile":"OR1200","warm_max_iters":40,"warm_min_iters":5,"workers":2,"max_iters":300}`,
+		`{"bookshelf":{"d.aux":"RowBasedPlacement : d.nodes","d.nodes":""}}`,
+		`{"profile":"OR1200","strategy":{"Mu":1.5}}`,
+		`{"profile":"OR1200","warm_max_iters":-1}`,
+		`{"profile":"OR1200","kind":"place"}`,
+		`{"profile":"MEDIA_SUBSYS","bookshelf":{"a.aux":"x"}}`,
+		`{"bookshelf":{"../a.aux":"x"}}`,
+		`[]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := DecodeSessionSpec(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		enc, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("accepted spec does not encode: %v", err)
+		}
+		again, err := DecodeSessionSpec(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("re-encoded spec rejected: %v\n%s", err, enc)
+		}
+		enc2, err := json.Marshal(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, enc2) {
+			t.Fatalf("round trip changed the spec:\n%s\n%s", enc, enc2)
+		}
+	})
+}

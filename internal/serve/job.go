@@ -8,17 +8,23 @@
 //
 // The package layers are:
 //
-//	job.go    — the job vocabulary: JobSpec, JobState, Manifest, JobResult
-//	spool.go  — the on-disk job store (manifests, designs, checkpoints, artifacts)
-//	queue.go  — the bounded admission queue with Retry-After estimation
-//	events.go — the per-job progress hub and SSE framing (EventStream, ReadEvents)
-//	worker.go — the worker pool executing jobs through pipeline/explore
-//	server.go — lifecycle: recovery, drain, daemon metrics
-//	api.go    — the job HTTP layer (API) over a Backend, shared with the
-//	            fleet coordinator (internal/coord)
-//	http.go   — the request telemetry middleware
-//	local.go  — the local Backend: this daemon's queue, hubs, and sessions
-//	session*.go — ECO sessions (worker-only routes)
+//	job.go     — the job vocabulary: JobSpec, JobState, Manifest, JobResult
+//	spool.go   — the on-disk record store shared by jobs and sessions
+//	             (manifests, designs, checkpoints, snapshots, artifacts)
+//	queue.go   — the bounded admission queue with Retry-After estimation
+//	events.go  — the progress hub and SSE framing (EventStream, ReadEvents)
+//	runtime.go — runtime entries (hub, cancel, telemetry lifecycle) of jobs
+//	             and sessions, with hub retention
+//	worker.go  — the worker pool executing jobs through pipeline/explore;
+//	             the design builder and pipeline config sessions reuse
+//	server.go  — lifecycle: recovery, drain, daemon metrics
+//	api.go     — the job HTTP layer (API) over a Backend, shared with the
+//	             fleet coordinator (internal/coord); the one spec decoder
+//	http.go    — the request telemetry middleware
+//	local.go   — the local Backend: this daemon's queue, hubs, and sessions
+//	session*.go — ECO sessions (worker-only routes) on the job machinery:
+//	             SessionSpec delegates to JobSpec, and sessions share the
+//	             spool store, runtime entries, and telemetry with jobs
 package serve
 
 import (
@@ -209,6 +215,8 @@ func (s *JobSpec) Validate() error {
 	}
 	return nil
 }
+
+func (s *JobSpec) asJob() JobSpec { return *s }
 
 // AuxName returns the name of the spec's .aux file ("" for profile specs).
 func (s *JobSpec) AuxName() string {

@@ -9,6 +9,9 @@ import (
 	"time"
 )
 
+// workerRole names a worker daemon in the index page and in 503 bodies.
+const workerRole = "worker"
+
 // Server is the local Backend of the job API: jobs run on this process's
 // worker pool.
 var _ Backend = (*Server)(nil)
@@ -23,7 +26,7 @@ func (s *Server) Handler() http.Handler {
 		Requests: s.hHTTP,
 		Log:      s.log,
 		Started:  s.startedAt,
-		Role:     "worker",
+		Role:     workerRole,
 	}).Handler()
 }
 
@@ -54,12 +57,10 @@ func (s *Server) Admit(r *http.Request, m *Manifest) error {
 	if err := s.spool.CreateJob(m); err != nil {
 		return fmt.Errorf("spool job: %w", err)
 	}
-	s.ensureJob(m.ID)
+	s.jobs.ensure(m.ID)
 	if err := s.queue.TryPush(m.ID); err != nil {
 		os.RemoveAll(s.spool.JobDir(m.ID))
-		s.mu.Lock()
-		delete(s.jobs, m.ID)
-		s.mu.Unlock()
+		s.jobs.forget(m.ID)
 		if errors.Is(err, ErrQueueFull) {
 			s.reg.Counter("serve.jobs_rejected").Inc()
 			retry := s.queue.RetryAfter(s.cfg.Workers)
@@ -93,23 +94,18 @@ func (s *Server) Cancel(m *Manifest) (*Manifest, error) {
 		}
 		if updated.State == StateCanceled {
 			s.reg.Counter("serve.jobs_canceled").Inc()
-			if a, ok := s.jobRuntime(m.ID); ok {
+			if a, ok := s.jobs.lookup(m.ID); ok {
 				a.hub.Publish(Event{Type: "state", State: StateCanceled, Error: updated.Error})
 				a.hub.Close()
 			}
 			// The job never reached a worker, so no runJob call will retire
 			// it; enroll the hub in retention here or it leaks forever.
-			s.retireJob(m.ID)
+			s.jobs.retire(m.ID)
 			return updated, nil
 		}
 	}
-	if a, ok := s.jobRuntime(m.ID); ok {
-		s.mu.Lock()
-		cancel := a.cancel
-		s.mu.Unlock()
-		if cancel != nil {
-			cancel(errJobCanceled)
-		}
+	if a, ok := s.jobs.lookup(m.ID); ok {
+		a.cancelRun(errJobCanceled)
 	}
 	return nil, nil
 }
@@ -117,7 +113,7 @@ func (s *Server) Cancel(m *Manifest) (*Manifest, error) {
 // Events streams the job's hub (retained replay, then live events); a job
 // with no hub this boot, or whose retention expired, has no live source.
 func (s *Server) Events(ctx context.Context, m *Manifest, out *EventStream) bool {
-	a, ok := s.jobRuntime(m.ID)
+	a, ok := s.jobs.lookup(m.ID)
 	if !ok {
 		return false
 	}
@@ -156,19 +152,15 @@ func (s *Server) HealthFields() map[string]any {
 
 // OpsFields reports the pool's load, the session census, and the SLOs.
 func (s *Server) OpsFields() map[string]any {
-	s.mu.Lock()
-	sessions := len(s.sessions)
+	sessions := s.sessions.all()
 	warm := 0
-	for _, rt := range s.sessions {
-		rt.mu.Lock()
-		if rt.sess != nil {
+	for _, rt := range sessions {
+		if rt.warm() {
 			warm++
 		}
-		rt.mu.Unlock()
 	}
-	s.mu.Unlock()
 	f := s.HealthFields()
-	f["sessions"] = map[string]int{"tracked": sessions, "warm": warm}
+	f["sessions"] = map[string]int{"tracked": len(sessions), "warm": warm}
 	f["slo"] = s.slo.Eval()
 	f["slo_healthy"] = s.slo.Healthy()
 	return f

@@ -52,16 +52,23 @@ func TestSessionTelemetryLifecycle(t *testing.T) {
 	}
 
 	// Idle eviction must drop the warm state AND the telemetry.
-	rt, ok := s.sessionRuntimeFor(m.ID)
+	rt, ok := s.sessions.lookup(m.ID)
 	if !ok {
 		t.Fatal("no runtime for open session")
 	}
+	// The manifest turns open just before the open's goroutine releases
+	// the run lock, and eviction skips a session whose lock is held: wait
+	// for the release.
+	for !rt.run.TryLock() {
+		time.Sleep(time.Millisecond)
+	}
+	rt.run.Unlock()
 	rt.mu.Lock()
 	rt.lastUsed = time.Now().Add(-time.Hour)
 	rt.mu.Unlock()
 	s.evictIdleSessions(time.Minute)
 	rt.mu.Lock()
-	evicted := rt.sess == nil && rt.rec == nil
+	evicted := rt.sess == nil && rt.tel == nil
 	rt.mu.Unlock()
 	if !evicted {
 		t.Fatal("eviction left warm state or telemetry behind")
@@ -102,9 +109,9 @@ func TestSessionTelemetryLifecycle(t *testing.T) {
 	if obs.ExpvarPublished(key) {
 		t.Fatal("closed session still published to expvar")
 	}
-	s.mu.Lock()
-	retained := len(s.finishedSessions)
-	s.mu.Unlock()
+	s.sessions.mu.Lock()
+	retained := len(s.sessions.finished)
+	s.sessions.mu.Unlock()
 	if retained == 0 {
 		t.Fatal("closed session not enrolled in retention")
 	}

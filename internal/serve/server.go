@@ -50,13 +50,6 @@ var (
 	errJobDeadline = errors.New("job deadline exceeded")
 )
 
-// activeJob is the in-memory runtime of one admitted job.
-type activeJob struct {
-	hub    *Hub
-	reg    *obs.Registry
-	cancel context.CancelCauseFunc // nil until the job starts running
-}
-
 // Server is the placement job service: spool + queue + worker pool +
 // per-job progress hubs + daemon-level metrics. Construct with New,
 // start the pool with Start, attach the HTTP surface via Handler, and
@@ -88,12 +81,13 @@ type Server struct {
 	// of the same design (keyed by content address).
 	designs *designCache
 
-	mu               sync.Mutex
-	jobs             map[string]*activeJob // every job seen this boot, incl. finished
-	sessions         map[string]*sessionRuntime
-	finished         []string // finished-job hub retention order
-	finishedSessions []string // closed/failed-session hub retention order
-	draining         bool
+	// jobs and sessions hold the runtime entries (hub, cancel, telemetry)
+	// of every job and session seen this boot.
+	jobs     *runtimes
+	sessions *runtimes
+
+	mu       sync.Mutex
+	draining bool
 
 	// Recovered is the number of interrupted jobs re-admitted at boot.
 	Recovered int
@@ -101,11 +95,6 @@ type Server struct {
 	// lazily from their spooled snapshots on the next delta).
 	RecoveredSessions int
 }
-
-// hubRetention bounds how many finished jobs keep their event hubs (and
-// registries) in memory for late watchers; older ones fall back to the
-// spooled manifest/artifacts.
-const hubRetention = 128
 
 // New opens the spool, re-admits interrupted jobs, and prepares the worker
 // pool (not yet started).
@@ -138,8 +127,8 @@ func New(cfg Config) (*Server, error) {
 		stopBase:  cancel,
 		drainCh:   make(chan struct{}),
 		designs:   newDesignCache(),
-		jobs:      make(map[string]*activeJob),
-		sessions:  make(map[string]*sessionRuntime),
+		jobs:      newRuntimes("job", sp.JobDir),
+		sessions:  newRuntimes("session", sp.SessionDir),
 	}
 	s.hHTTP = s.reg.Histogram("serve.http_request_seconds")
 	s.hQueueWait = s.reg.Histogram("serve.queue_wait_seconds")
@@ -165,7 +154,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("serve: recover spool: %w", err)
 	}
 	for _, m := range recovered {
-		s.ensureJob(m.ID)
+		s.jobs.ensure(m.ID)
 		// ForcePush: every interrupted job gets back in line even if the
 		// spool holds more than one queue's worth.
 		if err := s.queue.ForcePush(m.ID); err != nil {
@@ -242,53 +231,6 @@ func (s *Server) Draining() bool {
 	return s.draining
 }
 
-// ensureJob returns the job's runtime entry, creating the hub on first use.
-func (s *Server) ensureJob(id string) *activeJob {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	a, ok := s.jobs[id]
-	if !ok {
-		a = &activeJob{hub: NewHub()}
-		s.jobs[id] = a
-	}
-	return a
-}
-
-// jobRuntime returns the runtime entry for id, if this boot has one.
-func (s *Server) jobRuntime(id string) (*activeJob, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	a, ok := s.jobs[id]
-	return a, ok
-}
-
-// retireJob trims hub retention after a job reaches a terminal state.
-func (s *Server) retireJob(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.finished = append(s.finished, id)
-	for len(s.finished) > hubRetention {
-		old := s.finished[0]
-		s.finished = s.finished[1:]
-		delete(s.jobs, old)
-	}
-}
-
-// retireSession mirrors retireJob for terminal sessions: the runtime (hub,
-// registry) stays for late watchers up to the retention bound, then drops.
-// The caller must already have closed the runtime's telemetry, or the
-// expvar registration leaks past the runtime.
-func (s *Server) retireSession(id string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.finishedSessions = append(s.finishedSessions, id)
-	for len(s.finishedSessions) > hubRetention {
-		old := s.finishedSessions[0]
-		s.finishedSessions = s.finishedSessions[1:]
-		delete(s.sessions, old)
-	}
-}
-
 // Drain gracefully stops the server: admission closes (submissions get
 // 503), running jobs are canceled with the park cause so they stop within
 // one pipeline iteration and keep their last stage-boundary checkpoint,
@@ -301,12 +243,6 @@ func (s *Server) Drain(ctx context.Context) error {
 		return nil
 	}
 	s.draining = true
-	cancels := make([]context.CancelCauseFunc, 0, len(s.jobs))
-	for _, a := range s.jobs {
-		if a.cancel != nil {
-			cancels = append(cancels, a.cancel)
-		}
-	}
 	s.mu.Unlock()
 
 	close(s.drainCh)
@@ -319,8 +255,9 @@ func (s *Server) Drain(ctx context.Context) error {
 		case <-ctx.Done():
 		}
 	}
-	for _, c := range cancels {
-		c(errParked)
+	// A job claimed after draining flipped cancels itself (runJob).
+	for _, a := range s.jobs.all() {
+		a.cancelRun(errParked)
 	}
 	s.parkSessions()
 	done := make(chan struct{})

@@ -57,7 +57,7 @@ func enqueue(t *testing.T, s *Server, spec JobSpec) string {
 	if err := s.spool.CreateJob(m); err != nil {
 		t.Fatal(err)
 	}
-	s.ensureJob(m.ID)
+	s.jobs.ensure(m.ID)
 	if err := s.queue.TryPush(m.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func waitState(t *testing.T, s *Server, id string, want JobState) *Manifest {
 // waitEvent consumes the job's hub until an event satisfies pred.
 func waitEvent(t *testing.T, s *Server, id string, pred func(Event) bool) {
 	t.Helper()
-	a := s.ensureJob(id)
+	a := s.jobs.ensure(id)
 	replay, live, cancel := a.hub.Subscribe()
 	defer cancel()
 	for _, e := range replay {
@@ -361,9 +361,9 @@ func TestCancelQueuedJob(t *testing.T) {
 	}
 	// No worker ever ran this job, so cancel itself must retire the hub —
 	// otherwise repeated submit+cancel leaks runtime entries forever.
-	s.mu.Lock()
-	retired := len(s.finished) == 1 && s.finished[0] == id
-	s.mu.Unlock()
+	s.jobs.mu.Lock()
+	retired := len(s.jobs.finished) == 1 && s.jobs.finished[0] == id
+	s.jobs.mu.Unlock()
 	if !retired {
 		t.Fatal("canceled queued job not enrolled in hub retention")
 	}

@@ -5,18 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
-	"sync"
+	"net/http"
 	"time"
 
-	"puffer/internal/bookshelf"
 	"puffer/internal/eco"
 	"puffer/internal/netlist"
 	"puffer/internal/obs"
-	"puffer/internal/padding"
-	"puffer/internal/synth"
 	"puffer/pipeline"
 )
 
@@ -49,8 +43,10 @@ func (s SessionState) Terminal() bool {
 	return s == SessionFailed || s == SessionClosed
 }
 
-// SessionSpec is what a client posts to open an ECO session: the design
-// source and flow knobs (mirroring JobSpec), plus the warm re-place caps.
+// SessionSpec is what a client posts to open an ECO session: a place
+// job's design source and flow knobs, plus the warm re-place caps. The
+// shared rules (defaults, validation, design, configuration) are JobSpec's,
+// reached through asJob.
 type SessionSpec struct {
 	// Profile names a synthetic benchmark profile (internal/synth);
 	// exactly one of Profile and Bookshelf must be set.
@@ -75,51 +71,38 @@ type SessionSpec struct {
 	WarmMinIters int `json:"warm_min_iters,omitempty"`
 }
 
+// asJob returns the spec's design source and flow knobs as a place job.
+func (s *SessionSpec) asJob() JobSpec {
+	return JobSpec{Kind: KindPlace, Profile: s.Profile, Scale: s.Scale, Seed: s.Seed,
+		Bookshelf: s.Bookshelf, MaxIters: s.MaxIters, Workers: s.Workers, Strategy: s.Strategy}
+}
+
 // Normalize fills defaulted fields in place.
 func (s *SessionSpec) Normalize() {
-	if s.Scale == 0 {
-		s.Scale = 800
-	}
-	if s.Seed == 0 {
-		s.Seed = 1
-	}
+	j := s.asJob()
+	j.Normalize()
+	s.Scale, s.Seed = j.Scale, j.Seed
 }
 
 // Validate rejects malformed specs with a client-presentable error.
 func (s *SessionSpec) Validate() error {
-	if (s.Profile == "") == (len(s.Bookshelf) == 0) {
-		return fmt.Errorf("exactly one of profile and bookshelf must be set")
+	j := s.asJob()
+	if err := j.Validate(); err != nil {
+		return err
 	}
-	for name := range s.Bookshelf {
-		if name == "" || strings.Contains(name, "/") || strings.Contains(name, "\\") || strings.Contains(name, "..") {
-			return fmt.Errorf("bookshelf file name %q must be a bare file name", name)
-		}
-	}
-	if len(s.Bookshelf) > 0 {
-		aux := 0
-		for name := range s.Bookshelf {
-			if strings.HasSuffix(name, ".aux") {
-				aux++
-			}
-		}
-		if aux != 1 {
-			return fmt.Errorf("bookshelf upload needs exactly one .aux file, got %d", aux)
-		}
-	}
-	if s.Scale < 0 || s.MaxIters < 0 || s.Workers < 0 || s.WarmMaxIters < 0 || s.WarmMinIters < 0 {
-		return fmt.Errorf("negative scale/max_iters/workers/warm_max_iters/warm_min_iters")
+	if s.WarmMaxIters < 0 || s.WarmMinIters < 0 {
+		return fmt.Errorf("negative warm_max_iters/warm_min_iters")
 	}
 	return nil
 }
 
-// AuxName returns the name of the spec's .aux file ("" for profile specs).
-func (s *SessionSpec) AuxName() string {
-	for name := range s.Bookshelf {
-		if strings.HasSuffix(name, ".aux") {
-			return name
-		}
+// designName is the profile, or the uploaded .aux file's name.
+func (s *SessionSpec) designName() string {
+	if s.Profile != "" {
+		return s.Profile
 	}
-	return ""
+	j := s.asJob()
+	return j.AuxName()
 }
 
 // SessionManifest is the durable record of one ECO session, spooled as
@@ -149,397 +132,156 @@ type SessionManifest struct {
 	ClosedAt    *time.Time `json:"closed_at,omitempty"`
 }
 
-// --- session spool -------------------------------------------------------
-
-// SessionDir returns the directory of one session.
-func (sp *Spool) SessionDir(id string) string { return filepath.Join(sp.root, "sessions", id) }
-
-// SessionSnapshotPath returns the session's eco snapshot path.
-func (sp *Spool) SessionSnapshotPath(id string) string {
-	return filepath.Join(sp.SessionDir(id), "snapshot.json")
-}
-
-// SessionAuxPath returns the path of the session's uploaded .aux file
-// ("" for profile sessions).
-func (sp *Spool) SessionAuxPath(m *SessionManifest) string {
-	aux := m.Spec.AuxName()
-	if aux == "" {
-		return ""
-	}
-	return filepath.Join(sp.SessionDir(m.ID), "design", aux)
-}
-
-// CreateSession allocates a session directory, writes the uploaded design
-// files (if any), and persists the initial opening manifest.
-func (sp *Spool) CreateSession(m *SessionManifest) error {
-	dir := sp.SessionDir(m.ID)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("serve: create session dir: %w", err)
-	}
-	if len(m.Spec.Bookshelf) > 0 {
-		ddir := filepath.Join(dir, "design")
-		if err := os.MkdirAll(ddir, 0o755); err != nil {
-			return err
-		}
-		for name, content := range m.Spec.Bookshelf {
-			if err := os.WriteFile(filepath.Join(ddir, name), []byte(content), 0o644); err != nil {
-				return fmt.Errorf("serve: write design file %s: %w", name, err)
-			}
-		}
-	}
-	return sp.WriteSessionManifest(m)
-}
-
-// WriteSessionManifest persists m atomically.
-func (sp *Spool) WriteSessionManifest(m *SessionManifest) error {
-	m.Format = SessionManifestFormat
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return fmt.Errorf("serve: encode session manifest: %w", err)
-	}
-	return atomicWriteFile(filepath.Join(sp.SessionDir(m.ID), "manifest.json"), append(data, '\n'))
-}
-
-// ReadSessionManifest loads one session's manifest.
-func (sp *Spool) ReadSessionManifest(id string) (*SessionManifest, error) {
-	data, err := os.ReadFile(filepath.Join(sp.SessionDir(id), "manifest.json"))
-	if err != nil {
-		return nil, err
-	}
-	m := &SessionManifest{}
-	if err := json.Unmarshal(data, m); err != nil {
-		return nil, fmt.Errorf("serve: decode manifest for session %s: %w", id, err)
-	}
-	if m.Format != SessionManifestFormat {
-		return nil, fmt.Errorf("serve: session %s: manifest format %q, want %q", id, m.Format, SessionManifestFormat)
-	}
-	return m, nil
-}
-
-// UpdateSession applies fn to the session's manifest under the spool lock
-// and persists the result.
-func (sp *Spool) UpdateSession(id string, fn func(*SessionManifest) error) (*SessionManifest, error) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	m, err := sp.ReadSessionManifest(id)
-	if err != nil {
-		return nil, err
-	}
-	if err := fn(m); err != nil {
-		return m, err
-	}
-	if err := sp.WriteSessionManifest(m); err != nil {
-		return m, err
-	}
-	return m, nil
-}
-
-// ListSessions returns every session manifest in the spool, oldest open
-// first. Unreadable manifests are skipped, like job List.
-func (sp *Spool) ListSessions() ([]*SessionManifest, error) {
-	entries, err := os.ReadDir(filepath.Join(sp.root, "sessions"))
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil, nil
-		}
-		return nil, err
-	}
-	var out []*SessionManifest
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		m, err := sp.ReadSessionManifest(e.Name())
-		if err != nil {
-			continue
-		}
-		out = append(out, m)
-	}
-	// Oldest first, ID tiebreak — stable across boots.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0; j-- {
-			a, b := out[j-1], out[j]
-			if a.OpenedAt.Before(b.OpenedAt) || (a.OpenedAt.Equal(b.OpenedAt) && a.ID < b.ID) {
-				break
-			}
-			out[j-1], out[j] = b, a
-		}
-	}
-	return out, nil
-}
-
-// RecoverSessions marks the sessions a booting daemon inherits: sessions
-// still opening when the previous daemon died have no snapshot and fail;
-// open or parked ones park (the next delta rehydrates them from the
-// spooled snapshot).
-func (sp *Spool) RecoverSessions() (parked, failed []*SessionManifest, err error) {
-	all, lerr := sp.ListSessions()
-	if lerr != nil {
-		return nil, nil, lerr
-	}
-	for _, m := range all {
-		switch m.State {
-		case SessionOpening:
-			um, uerr := sp.UpdateSession(m.ID, func(mm *SessionManifest) error {
-				mm.State = SessionFailed
-				mm.Error = "daemon restarted before the base placement finished"
-				return nil
-			})
-			if uerr != nil {
-				return nil, nil, uerr
-			}
-			failed = append(failed, um)
-		case SessionOpen, SessionParked:
-			um, uerr := sp.UpdateSession(m.ID, func(mm *SessionManifest) error {
-				mm.State = SessionParked
-				return nil
-			})
-			if uerr != nil {
-				return nil, nil, uerr
-			}
-			parked = append(parked, um)
-		}
-	}
-	return parked, failed, nil
-}
-
 // --- session runtime -----------------------------------------------------
-
-// sessionRuntime is the in-memory side of one ECO session: the live
-// eco.Session (nil when evicted or parked — rehydrated lazily from the
-// spooled snapshot on the next delta), the progress hub, and the
-// per-session telemetry. run serializes the session's work: the base
-// placement and every delta hold it, so a concurrent delta gets 409.
-type sessionRuntime struct {
-	id  string
-	hub *Hub
-
-	run sync.Mutex // held while opening or applying a delta
-
-	mu          sync.Mutex // guards the fields below
-	sess        *eco.Session
-	cancel      context.CancelCauseFunc // non-nil while work is in flight
-	lastUsed    time.Time
-	reg         *obs.Registry
-	rec         *obs.Recorder
-	metricsF    *os.File
-	metricsSink obs.Sink
-}
-
-// ensureSession returns the session's runtime entry, creating it on first
-// use this boot.
-func (s *Server) ensureSession(id string) *sessionRuntime {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rt, ok := s.sessions[id]
-	if !ok {
-		rt = &sessionRuntime{id: id, hub: NewHub(), lastUsed: time.Now()}
-		s.sessions[id] = rt
-	}
-	return rt
-}
-
-// sessionRuntimeFor returns the runtime entry for id, if this boot has one.
-func (s *Server) sessionRuntimeFor(id string) (*sessionRuntime, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rt, ok := s.sessions[id]
-	return rt, ok
-}
-
-// telemetry returns the runtime's recorder and hub-connected registry,
-// wiring them (and the spooled metrics.jsonl, and the live expvar
-// registration) on first use. A rehydrate after closeTelemetry rebuilds
-// everything, so an evicted-then-warmed session republishes its registry.
-func (rt *sessionRuntime) telemetry(s *Server, id string) *obs.Recorder {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.rec != nil {
-		return rt.rec
-	}
-	sinks := []obs.Sink{hubSink{rt.hub}}
-	mp := filepath.Join(s.spool.SessionDir(id), "metrics.jsonl")
-	if f, err := os.OpenFile(mp, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644); err == nil {
-		rt.metricsF = f
-		rt.metricsSink = obs.NewJSONLSink(f)
-		sinks = append(sinks, rt.metricsSink)
-	}
-	rt.reg = obs.NewRegistry(sinks...)
-	rt.rec = obs.NewRecorder(obs.NewTracer(), rt.reg)
-	obs.PublishExpvar("session-"+id, rt.reg)
-	return rt.rec
-}
-
-// closeTelemetry flushes and releases the runtime's telemetry: the metric
-// stream closes, the session's span tree (base placement plus every warm
-// delta applied since the last rehydrate) spools as trace.json, the expvar
-// registration is dropped, and the recorder is cleared so the next
-// rehydrate starts fresh. Called on close, open failure, and idle
-// eviction — without the unpublish here, evicted sessions would pin their
-// registries in the process-global expvar map forever.
-func (rt *sessionRuntime) closeTelemetry(s *Server) {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if rt.rec != nil {
-		if tr := rt.rec.Tracer(); tr.Len() > 0 {
-			tp := filepath.Join(s.spool.SessionDir(rt.id), "trace.json")
-			if err := tr.WriteFile(tp); err != nil {
-				s.log.Error("write session trace", "session", rt.id, "error", err)
-			}
-		}
-		obs.UnpublishExpvar("session-" + rt.id)
-		rt.rec = nil
-		rt.reg = nil
-	}
-	if rt.metricsSink != nil {
-		rt.metricsSink.Flush()
-		rt.metricsSink = nil
-	}
-	if rt.metricsF != nil {
-		rt.metricsF.Close()
-		rt.metricsF = nil
-	}
-}
-
-// sessionDesign materializes the session's design: a deterministic
-// synthetic profile or the spooled Bookshelf upload — both rebuild
-// bit-identically on rehydrate, which eco.Restore verifies by design hash.
-func (s *Server) sessionDesign(m *SessionManifest) (*netlist.Design, error) {
-	if m.Spec.Profile != "" {
-		p, err := synth.ProfileByName(m.Spec.Profile)
-		if err != nil {
-			return nil, err
-		}
-		return synth.Generate(p, m.Spec.Scale, m.Spec.Seed), nil
-	}
-	return bookshelf.Parse(s.spool.SessionAuxPath(m))
-}
-
-// sessionConfig builds the pipeline configuration for a session. It must
-// be deterministic in the spec: a rehydrated session rebuilds the exact
-// configuration its snapshot was captured under.
-func sessionConfig(spec *SessionSpec, rec *obs.Recorder, hub *Hub) (pipeline.Config, error) {
-	cfg := pipeline.DefaultConfig()
-	cfg.Place.Seed = spec.Seed
-	if spec.MaxIters > 0 {
-		cfg.Place.MaxIters = spec.MaxIters
-	}
-	cfg.Workers = spec.Workers
-	if len(spec.Strategy) > 0 {
-		st := padding.DefaultStrategy()
-		if err := json.Unmarshal(spec.Strategy, &st); err != nil {
-			return cfg, fmt.Errorf("decode strategy: %w", err)
-		}
-		cfg.Strategy = st
-		cfg.Legal.Theta = st.Theta
-	}
-	cfg.Obs = rec
-	cfg.Logf = func(format string, args ...any) {
-		hub.Publish(Event{Type: "log", Line: fmt.Sprintf(format, args...)})
-	}
-	return cfg, nil
-}
 
 func (m *SessionManifest) ecoOptions() eco.Options {
 	return eco.Options{WarmMaxIters: m.Spec.WarmMaxIters, WarmMinIters: m.Spec.WarmMinIters}
+}
+
+// refuseEnded refuses a manifest update once the session is terminal: a
+// close that lands while a base placement or delta is in flight wins.
+func refuseEnded(mm *SessionManifest) error {
+	if mm.State.Terminal() {
+		return httpErrorf(http.StatusConflict, "session %s is %s", mm.ID, mm.State)
+	}
+	return nil
+}
+
+// sessionBase builds what a cold open and a rehydrate both start from:
+// the design and the pipeline configuration, recording into the session's
+// telemetry. The design never comes from the design cache — a session owns
+// and mutates it.
+func (s *Server) sessionBase(m *SessionManifest, rt *entry) (*netlist.Design, pipeline.Config, error) {
+	spec := m.Spec.asJob()
+	d, err := newDesign(&spec, s.spool.SessionDir(m.ID))
+	if err != nil {
+		return nil, pipeline.Config{}, fmt.Errorf("build design: %w", err)
+	}
+	cfg, err := placeConfig(&spec, rt.openTelemetry(obs.TraceContext{}), rt.hub)
+	return d, cfg, err
+}
+
+// commitSession spools sess's snapshot, then records it in the manifest
+// and re-installs the warm state — unless the session ended meanwhile
+// (409). The snapshot goes first: once the client sees the outcome, a
+// parked or crashed daemon must resume from *this* state. On failure the
+// warm state and its telemetry are dropped; a later delta rehydrates.
+func (s *Server) commitSession(rt *entry, sess *eco.Session, delta bool) (*SessionManifest, error) {
+	sn, err := sess.Snapshot()
+	if err == nil {
+		err = sn.Save(s.spool.SessionSnapshotPath(rt.id))
+	}
+	var um *SessionManifest
+	if err != nil {
+		err = fmt.Errorf("spool snapshot: %w", err)
+	} else {
+		um, err = s.spool.UpdateSession(rt.id, func(mm *SessionManifest) error {
+			if err := refuseEnded(mm); err != nil {
+				return err
+			}
+			mm.State = SessionOpen
+			mm.Deltas = sn.Deltas
+			mm.LastHPWL = sn.LastHPWL
+			mm.LastOverflow = sn.LastOverflow
+			mm.DesignHash = sn.DesignHash
+			if delta {
+				now := time.Now().UTC()
+				mm.LastDeltaAt = &now
+			}
+			// Under the spool lock, so a close (which drops the warm state
+			// after writing closed) cannot interleave.
+			rt.setWarm(sess)
+			return nil
+		})
+	}
+	if err != nil {
+		rt.setWarm(nil)
+		rt.closeTelemetry(s.log)
+		return nil, err
+	}
+	return um, nil
 }
 
 // openSession runs the session's base placement. It is called on its own
 // goroutine (tracked by the server wait group) with rt.run held; the POST
 // handler has already returned 202, so progress flows through the hub and
 // the outcome lands in the manifest.
-func (s *Server) openSession(m *SessionManifest, rt *sessionRuntime) {
+func (s *Server) openSession(m *SessionManifest, rt *entry) {
 	defer s.wg.Done()
 	defer rt.run.Unlock()
 	start := time.Now()
-	id := m.ID
 
 	ctx, cancel := context.WithCancelCause(s.baseCtx)
-	rt.mu.Lock()
-	rt.cancel = cancel
-	rt.mu.Unlock()
+	rt.setCancel(cancel)
 	defer func() {
 		cancel(nil)
-		rt.mu.Lock()
-		rt.cancel = nil
-		rt.mu.Unlock()
+		rt.setCancel(nil)
 	}()
 
-	fail := func(format string, args ...any) {
-		msg := fmt.Sprintf(format, args...)
-		s.log.Error("session open failed", "session", id, "error", msg)
-		s.spool.UpdateSession(id, func(mm *SessionManifest) error {
-			mm.State = SessionFailed
-			mm.Error = msg
-			return nil
-		})
-		rt.hub.Publish(Event{Type: "state", State: JobState(SessionFailed), Error: msg})
-		rt.hub.Close()
-		rt.closeTelemetry(s)
-		s.retireSession(id)
-	}
-
-	d, err := s.sessionDesign(m)
-	if err != nil {
-		fail("build design: %v", err)
-		return
-	}
-	cfg, err := sessionConfig(&m.Spec, rt.telemetry(s, id), rt.hub)
-	if err != nil {
-		fail("%v", err)
-		return
-	}
-	sess, err := eco.New(d, cfg, m.ecoOptions())
-	if err != nil {
-		fail("open session: %v", err)
-		return
-	}
-	res, err := sess.Place(ctx)
-	if err != nil {
-		if errors.Is(err, pipeline.ErrCanceled) || errors.Is(err, context.Canceled) {
-			// A session interrupted before its base placement has no
-			// snapshot to park; it fails and the client reopens it.
-			fail("base placement interrupted: %v", context.Cause(ctx))
-			return
-		}
-		fail("base placement: %v", err)
-		return
-	}
-	sn, err := sess.Snapshot()
+	sess, err := s.placeSession(ctx, m, rt)
+	var um *SessionManifest
 	if err == nil {
-		err = sn.Save(s.spool.SessionSnapshotPath(id))
+		um, err = s.commitSession(rt, sess, false)
 	}
 	if err != nil {
-		fail("spool snapshot: %v", err)
+		s.failSession(rt, err)
 		return
 	}
-
-	rt.mu.Lock()
-	rt.sess = sess
-	rt.lastUsed = time.Now()
-	rt.mu.Unlock()
-	s.spool.UpdateSession(id, func(mm *SessionManifest) error {
-		mm.State = SessionOpen
-		mm.LastHPWL = res.HPWL
-		mm.LastOverflow = res.GP.Overflow
-		mm.DesignHash = sn.DesignHash
-		return nil
-	})
 	rt.hub.Publish(Event{Type: "state", State: JobState(SessionOpen)})
 	s.reg.Counter("serve.sessions_opened").Inc()
 	s.hColdOpen.ObserveSince(start)
 	s.log.Info("session open",
-		"session", id, "hpwl", res.HPWL, "wall", time.Since(start).Round(time.Millisecond))
+		"session", m.ID, "hpwl", um.LastHPWL, "wall", time.Since(start).Round(time.Millisecond))
+}
+
+// placeSession builds the session's engine and runs its base placement.
+func (s *Server) placeSession(ctx context.Context, m *SessionManifest, rt *entry) (*eco.Session, error) {
+	d, cfg, err := s.sessionBase(m, rt)
+	if err != nil {
+		return nil, err
+	}
+	sess, err := eco.New(d, cfg, m.ecoOptions())
+	if err != nil {
+		return nil, fmt.Errorf("open session: %w", err)
+	}
+	if _, err := sess.Place(ctx); err != nil {
+		if errors.Is(err, pipeline.ErrCanceled) || errors.Is(err, context.Canceled) {
+			// A session interrupted before its base placement has no
+			// snapshot to park; it fails and the client reopens it.
+			return nil, fmt.Errorf("base placement interrupted: %v", context.Cause(ctx))
+		}
+		return nil, fmt.Errorf("base placement: %w", err)
+	}
+	return sess, nil
+}
+
+// failSession records a failed open. A session closed meanwhile stays
+// closed — the close already ended its hub and retired it.
+func (s *Server) failSession(rt *entry, err error) {
+	msg := err.Error()
+	s.log.Error("session open failed", "session", rt.id, "error", msg)
+	rt.closeTelemetry(s.log)
+	_, uerr := s.spool.UpdateSession(rt.id, func(mm *SessionManifest) error {
+		if err := refuseEnded(mm); err != nil {
+			return err
+		}
+		mm.State = SessionFailed
+		mm.Error = msg
+		return nil
+	})
+	var ended *HTTPError
+	if errors.As(uerr, &ended) {
+		return
+	}
+	rt.hub.Publish(Event{Type: "state", State: JobState(SessionFailed), Error: msg})
+	rt.hub.Close()
+	s.sessions.retire(rt.id)
 }
 
 // rehydrateSession rebuilds the in-memory eco.Session of a parked or
 // evicted session from the spooled snapshot. Caller holds rt.run.
-func (s *Server) rehydrateSession(m *SessionManifest, rt *sessionRuntime) (*eco.Session, error) {
-	d, err := s.sessionDesign(m)
-	if err != nil {
-		return nil, fmt.Errorf("rebuild design: %w", err)
-	}
-	cfg, err := sessionConfig(&m.Spec, rt.telemetry(s, m.ID), rt.hub)
+func (s *Server) rehydrateSession(m *SessionManifest, rt *entry) (*eco.Session, error) {
+	d, cfg, err := s.sessionBase(m, rt)
 	if err != nil {
 		return nil, err
 	}
@@ -560,36 +302,26 @@ func (s *Server) rehydrateSession(m *SessionManifest, rt *sessionRuntime) (*eco.
 // longer than idle. The spooled snapshot stays authoritative, so the next
 // delta transparently rehydrates; the manifest stays open.
 func (s *Server) evictIdleSessions(idle time.Duration) {
-	s.mu.Lock()
-	type cand struct {
-		id string
-		rt *sessionRuntime
-	}
-	var cands []cand
-	for id, rt := range s.sessions {
-		cands = append(cands, cand{id, rt})
-	}
-	s.mu.Unlock()
-	for _, c := range cands {
-		if !c.rt.run.TryLock() {
+	for _, rt := range s.sessions.all() {
+		if !rt.run.TryLock() {
 			continue // delta in flight: not idle
 		}
-		c.rt.mu.Lock()
-		expired := c.rt.sess != nil && time.Since(c.rt.lastUsed) >= idle
+		rt.mu.Lock()
+		expired := rt.sess != nil && time.Since(rt.lastUsed) >= idle
 		if expired {
-			c.rt.sess = nil
+			rt.sess = nil
 		}
-		c.rt.mu.Unlock()
+		rt.mu.Unlock()
 		if expired {
 			// Release the telemetry with the warm state: the expvar
 			// registration and metric stream go; the next delta's rehydrate
 			// rebuilds and republishes them alongside the eco.Session.
-			c.rt.closeTelemetry(s)
+			rt.closeTelemetry(s.log)
 		}
-		c.rt.run.Unlock()
+		rt.run.Unlock()
 		if expired {
 			s.reg.Counter("serve.sessions_evicted").Inc()
-			s.log.Info("session warm state evicted (snapshot retained)", "session", c.id)
+			s.log.Info("session warm state evicted (snapshot retained)", "session", rt.id)
 		}
 	}
 }
@@ -621,31 +353,16 @@ func (s *Server) sessionJanitor(idle time.Duration) {
 // against the restarted daemon, which rehydrates from the last completed
 // delta's snapshot.
 func (s *Server) parkSessions() {
-	s.mu.Lock()
-	var cancels []context.CancelCauseFunc
-	for _, rt := range s.sessions {
-		rt.mu.Lock()
-		if rt.cancel != nil {
-			cancels = append(cancels, rt.cancel)
-		}
-		rt.mu.Unlock()
-	}
-	s.mu.Unlock()
-	for _, c := range cancels {
-		c(errParked)
+	rts := s.sessions.all()
+	for _, rt := range rts {
+		rt.cancelRun(errParked)
 	}
 	// Flush each runtime's telemetry so parked sessions leave their span
 	// trees and metric streams on disk for the next boot's operator.
-	s.mu.Lock()
-	rts := make([]*sessionRuntime, 0, len(s.sessions))
-	for _, rt := range s.sessions {
-		rts = append(rts, rt)
-	}
-	s.mu.Unlock()
 	for _, rt := range rts {
-		rt.closeTelemetry(s)
+		rt.closeTelemetry(s.log)
 	}
-	all, err := s.spool.ListSessions()
+	all, err := sessionRecords.list(s.spool)
 	if err != nil {
 		s.log.Error("park sessions", "error", err)
 		return

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -10,7 +9,6 @@ import (
 	"time"
 
 	"puffer/internal/eco"
-	"puffer/internal/synth"
 	"puffer/pipeline"
 )
 
@@ -19,52 +17,31 @@ const maxDeltaBytes = 16 << 20
 
 func (s *Server) handleSessionOpen(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
-		apiError(w, http.StatusServiceUnavailable, "daemon is draining; not opening sessions")
+		WriteError(w, errDraining(workerRole, "not opening sessions"))
 		return
 	}
-	var spec SessionSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		apiError(w, http.StatusBadRequest, "decode session spec: %v", err)
+	spec, err := DecodeSessionSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+	if err != nil {
+		WriteError(w, &HTTPError{Status: http.StatusBadRequest, Err: err})
 		return
 	}
-	spec.Normalize()
-	if err := spec.Validate(); err != nil {
-		apiError(w, http.StatusBadRequest, "invalid session spec: %v", err)
-		return
-	}
-	if spec.Profile != "" {
-		if _, err := synth.ProfileByName(spec.Profile); err != nil {
-			apiError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-	}
-
 	m := &SessionManifest{
 		ID:       newJobID(),
 		Spec:     spec,
 		State:    SessionOpening,
 		OpenedAt: time.Now().UTC(),
 	}
-	if err := s.spool.CreateSession(m); err != nil {
-		apiError(w, http.StatusInternalServerError, "spool session: %v", err)
+	if err := sessionRecords.create(s.spool, m, spec.Bookshelf); err != nil {
+		WriteError(w, fmt.Errorf("spool session: %w", err))
 		return
 	}
-	rt := s.ensureSession(m.ID)
+	rt := s.sessions.ensure(m.ID)
 	rt.run.Lock() // released by openSession
 	s.wg.Add(1)
 	go s.openSession(m, rt)
 	s.reg.Counter("serve.sessions_submitted").Inc()
-	s.log.InfoContext(r.Context(), "session opening", "session", m.ID, "design", sessionDesignName(&spec))
+	s.log.InfoContext(r.Context(), "session opening", "session", m.ID, "design", spec.designName())
 	WriteJSON(w, http.StatusAccepted, m)
-}
-
-func sessionDesignName(spec *SessionSpec) string {
-	if spec.Profile != "" {
-		return spec.Profile
-	}
-	return spec.AuxName()
 }
 
 // sessionSummary is one row of the session list endpoint.
@@ -81,42 +58,28 @@ type sessionSummary struct {
 }
 
 func (s *Server) handleSessionList(w http.ResponseWriter, r *http.Request) {
-	ms, err := s.spool.ListSessions()
+	ms, err := sessionRecords.list(s.spool)
 	if err != nil {
-		apiError(w, http.StatusInternalServerError, "list sessions: %v", err)
+		WriteError(w, fmt.Errorf("list sessions: %w", err))
 		return
 	}
 	out := make([]sessionSummary, 0, len(ms))
 	for _, m := range ms {
 		row := sessionSummary{
-			ID: m.ID, Design: sessionDesignName(&m.Spec), State: m.State,
+			ID: m.ID, Design: m.Spec.designName(), State: m.State,
 			Deltas: m.Deltas, LastHPWL: m.LastHPWL,
 			OpenedAt: m.OpenedAt, LastDeltaAt: m.LastDeltaAt, Error: m.Error,
 		}
-		if rt, ok := s.sessionRuntimeFor(m.ID); ok {
-			rt.mu.Lock()
-			row.Warm = rt.sess != nil
-			rt.mu.Unlock()
+		if rt, ok := s.sessions.lookup(m.ID); ok {
+			row.Warm = rt.warm()
 		}
 		out = append(out, row)
 	}
 	WriteJSON(w, http.StatusOK, out)
 }
 
-// loadSessionManifest fetches the manifest for the path's {id}, writing
-// the 404.
-func (s *Server) loadSessionManifest(w http.ResponseWriter, r *http.Request) *SessionManifest {
-	id := r.PathValue("id")
-	m, err := s.spool.ReadSessionManifest(id)
-	if err != nil {
-		apiError(w, http.StatusNotFound, "session %s: %v", id, err)
-		return nil
-	}
-	return m
-}
-
 func (s *Server) handleSessionStatus(w http.ResponseWriter, r *http.Request) {
-	if m := s.loadSessionManifest(w, r); m != nil {
+	if m := loadRecord(w, r, s.spool, sessionRecords); m != nil {
 		WriteJSON(w, http.StatusOK, m)
 	}
 }
@@ -132,70 +95,68 @@ type deltaResponse struct {
 	Rehydrated bool    `json:"rehydrated,omitempty"`
 }
 
-// handleSessionDelta applies one ECO delta synchronously: the warm
-// re-place is the fast path (an order of magnitude under the cold wall),
-// so the response carries the new placement summary. Progress still
-// streams on the session's event hub for watchers. A concurrent delta on
-// the same session gets 409 — warm state is inherently single-writer.
 func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	if s.Draining() {
-		apiError(w, http.StatusServiceUnavailable, "daemon is draining; not accepting deltas")
+		WriteError(w, errDraining(workerRole, "not accepting deltas"))
 		return
 	}
-	m := s.loadSessionManifest(w, r)
+	m := loadRecord(w, r, s.spool, sessionRecords)
 	if m == nil {
 		return
 	}
+	ack, err := s.applyDelta(w, r, m)
+	if err != nil {
+		WriteError(w, err)
+		return
+	}
+	WriteJSON(w, http.StatusOK, ack)
+}
+
+// applyDelta applies one ECO delta synchronously: the warm re-place is the
+// fast path (an order of magnitude under the cold wall), so the response
+// carries the new placement summary. Progress still streams on the
+// session's event hub for watchers. A concurrent delta on the same session
+// gets 409 — warm state is inherently single-writer — and so does a delta
+// whose session was closed while it ran.
+func (s *Server) applyDelta(w http.ResponseWriter, r *http.Request, m *SessionManifest) (*deltaResponse, error) {
 	switch m.State {
 	case SessionOpen, SessionParked:
 	case SessionOpening:
-		apiError(w, http.StatusConflict, "session %s is still opening", m.ID)
-		return
+		return nil, httpErrorf(http.StatusConflict, "session %s is still opening", m.ID)
 	default:
-		apiError(w, http.StatusConflict, "session %s is %s", m.ID, m.State)
-		return
+		return nil, httpErrorf(http.StatusConflict, "session %s is %s", m.ID, m.State)
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxDeltaBytes))
 	if err != nil {
-		apiError(w, http.StatusBadRequest, "read delta: %v", err)
-		return
+		return nil, httpErrorf(http.StatusBadRequest, "read delta: %v", err)
 	}
 	dl, err := eco.ParseDelta(body)
 	if err != nil {
-		apiError(w, http.StatusBadRequest, "%v", err)
-		return
+		return nil, httpErrorf(http.StatusBadRequest, "%v", err)
 	}
 
-	rt := s.ensureSession(m.ID)
+	rt := s.sessions.ensure(m.ID)
 	if !rt.run.TryLock() {
-		apiError(w, http.StatusConflict, "session %s has a delta in flight", m.ID)
-		return
+		return nil, httpErrorf(http.StatusConflict, "session %s has a delta in flight", m.ID)
 	}
 	defer rt.run.Unlock()
 
 	rt.mu.Lock()
 	sess := rt.sess
 	rt.mu.Unlock()
-	rehydrated := false
-	if sess == nil {
-		sess, err = s.rehydrateSession(m, rt)
-		if err != nil {
-			apiError(w, http.StatusInternalServerError, "rehydrate session %s: %v", m.ID, err)
-			return
+	rehydrated := sess == nil
+	if rehydrated {
+		if sess, err = s.rehydrateSession(m, rt); err != nil {
+			return nil, fmt.Errorf("rehydrate session %s: %w", m.ID, err)
 		}
-		rehydrated = true
 	}
 
 	// Tie the warm run to both the client connection and the daemon drain.
 	ctx, cancel := context.WithCancelCause(r.Context())
-	rt.mu.Lock()
-	rt.cancel = cancel
-	rt.mu.Unlock()
+	rt.setCancel(cancel)
 	defer func() {
 		cancel(nil)
-		rt.mu.Lock()
-		rt.cancel = nil
-		rt.mu.Unlock()
+		rt.setCancel(nil)
 	}()
 	stop := context.AfterFunc(s.baseCtx, func() { cancel(errParked) })
 	defer stop()
@@ -205,69 +166,34 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		if errors.Is(err, eco.ErrBadDelta) {
 			// Rejected before touching the design: warm state is intact.
-			rt.mu.Lock()
-			rt.sess = sess
-			rt.mu.Unlock()
-			apiError(w, http.StatusUnprocessableEntity, "%v", err)
-			return
+			rt.setWarm(sess)
+			return nil, httpErrorf(http.StatusUnprocessableEntity, "%v", err)
 		}
 		// The in-memory warm state may be mid-flight; drop it so the next
 		// delta rehydrates from the last completed delta's snapshot.
-		rt.mu.Lock()
-		rt.sess = nil
-		rt.mu.Unlock()
+		rt.setWarm(nil)
 		switch {
 		case errors.Is(context.Cause(ctx), errParked):
-			apiError(w, http.StatusServiceUnavailable,
+			return nil, httpErrorf(http.StatusServiceUnavailable,
 				"daemon draining: delta lost; retry after the daemon restarts")
 		case errors.Is(err, pipeline.ErrCanceled) || errors.Is(err, context.Canceled):
-			apiError(w, http.StatusServiceUnavailable, "delta canceled: %v", context.Cause(ctx))
+			return nil, httpErrorf(http.StatusServiceUnavailable, "delta canceled: %v", context.Cause(ctx))
 		default:
-			apiError(w, http.StatusUnprocessableEntity, "apply delta: %v", err)
+			return nil, httpErrorf(http.StatusUnprocessableEntity, "apply delta: %v", err)
 		}
-		return
 	}
-
-	// Spool the new snapshot before acknowledging: once the client sees
-	// 200, a parked/crashed daemon must resume from *this* delta.
-	sn, serr := sess.Snapshot()
-	if serr == nil {
-		serr = sn.Save(s.spool.SessionSnapshotPath(m.ID))
-	}
-	if serr != nil {
-		rt.mu.Lock()
-		rt.sess = nil
-		rt.mu.Unlock()
-		apiError(w, http.StatusInternalServerError, "spool snapshot: %v", serr)
-		return
-	}
-	rt.mu.Lock()
-	rt.sess = sess
-	rt.lastUsed = time.Now()
-	rt.mu.Unlock()
-
-	now := time.Now().UTC()
-	um, uerr := s.spool.UpdateSession(m.ID, func(mm *SessionManifest) error {
-		mm.State = SessionOpen
-		mm.Deltas = sn.Deltas
-		mm.LastHPWL = sn.LastHPWL
-		mm.LastOverflow = sn.LastOverflow
-		mm.DesignHash = sn.DesignHash
-		mm.LastDeltaAt = &now
-		return nil
-	})
-	if uerr != nil {
-		apiError(w, http.StatusInternalServerError, "update session manifest: %v", uerr)
-		return
+	um, err := s.commitSession(rt, sess, true)
+	if err != nil {
+		return nil, err
 	}
 	s.reg.Counter("serve.session_deltas").Inc()
 	s.hWarmDelta.ObserveSince(start)
 	rt.hub.Publish(Event{Type: "log",
-		Line: fmt.Sprintf("delta %d applied: hpwl=%.6g (%s)", um.Deltas, sn.LastHPWL, time.Since(start).Round(time.Millisecond))})
+		Line: fmt.Sprintf("delta %d applied: hpwl=%.6g (%s)", um.Deltas, um.LastHPWL, time.Since(start).Round(time.Millisecond))})
 	s.log.InfoContext(r.Context(), "session delta applied",
-		"session", m.ID, "delta", um.Deltas, "hpwl", sn.LastHPWL,
+		"session", m.ID, "delta", um.Deltas, "hpwl", um.LastHPWL,
 		"wall", time.Since(start).Round(time.Millisecond), "rehydrated", rehydrated)
-	WriteJSON(w, http.StatusOK, deltaResponse{
+	return &deltaResponse{
 		ID:         m.ID,
 		Deltas:     um.Deltas,
 		HPWL:       res.HPWL,
@@ -275,64 +201,64 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request) {
 		GPOverflow: res.GP.Overflow,
 		RuntimeMS:  float64(time.Since(start)) / float64(time.Millisecond),
 		Rehydrated: rehydrated,
-	})
+	}, nil
 }
 
+// handleSessionClose cancels in-flight work, marks the session closed, and
+// drops its warm state. The spool directory (snapshot included) is kept
+// for inspection. A run still in flight finds the session ended when it
+// commits and discards its outcome.
 func (s *Server) handleSessionClose(w http.ResponseWriter, r *http.Request) {
-	m := s.loadSessionManifest(w, r)
+	m := loadRecord(w, r, s.spool, sessionRecords)
 	if m == nil {
 		return
 	}
 	if m.State.Terminal() {
-		apiError(w, http.StatusConflict, "session %s already %s", m.ID, m.State)
+		WriteError(w, httpErrorf(http.StatusConflict, "session %s already %s", m.ID, m.State))
 		return
 	}
-	// Cancel in-flight work, then mark closed and drop the warm state. The
-	// spool directory (snapshot included) is kept for inspection.
-	if rt, ok := s.sessionRuntimeFor(m.ID); ok {
-		rt.mu.Lock()
-		if rt.cancel != nil {
-			rt.cancel(errJobCanceled)
-		}
-		rt.sess = nil
-		rt.mu.Unlock()
+	rt, live := s.sessions.lookup(m.ID)
+	if live {
+		rt.cancelRun(errJobCanceled)
 	}
 	now := time.Now().UTC()
 	um, err := s.spool.UpdateSession(m.ID, func(mm *SessionManifest) error {
+		if err := refuseEnded(mm); err != nil {
+			return err
+		}
 		mm.State = SessionClosed
 		mm.ClosedAt = &now
 		return nil
 	})
 	if err != nil {
-		apiError(w, http.StatusInternalServerError, "%v", err)
+		WriteError(w, err)
 		return
 	}
-	if rt, ok := s.sessionRuntimeFor(m.ID); ok {
+	if live {
+		rt.setWarm(nil)
 		rt.hub.Publish(Event{Type: "state", State: JobState(SessionClosed)})
 		rt.hub.Close()
-		rt.closeTelemetry(s)
+		rt.closeTelemetry(s.log)
 	}
-	// Closed sessions enter hub retention like finished jobs; before this,
-	// a closed session's runtime (and its expvar registry) lived forever.
-	s.retireSession(m.ID)
+	// Closed sessions enter hub retention like finished jobs.
+	s.sessions.retire(m.ID)
 	s.reg.Counter("serve.sessions_closed").Inc()
 	s.log.InfoContext(r.Context(), "session closed", "session", m.ID, "deltas", um.Deltas)
 	WriteJSON(w, http.StatusOK, um)
 }
 
 // handleSessionEvents streams the session's progress hub as SSE, exactly
-// like job events; terminal sessions with no retained hub get a single
-// synthetic state event.
+// like job events.
 func (s *Server) handleSessionEvents(w http.ResponseWriter, r *http.Request) {
-	m := s.loadSessionManifest(w, r)
+	m := loadRecord(w, r, s.spool, sessionRecords)
 	if m == nil {
 		return
 	}
-	serveEvents(w, func(out *EventStream) {
-		if rt, ok := s.sessionRuntimeFor(m.ID); ok {
+	serveEvents(w, Event{Type: "state", State: JobState(m.State), Error: m.Error}, func(out *EventStream) bool {
+		rt, ok := s.sessions.lookup(m.ID)
+		if ok {
 			rt.hub.Stream(r.Context(), out, s.hSSE)
-			return
 		}
-		out.Send(Event{Type: "state", State: JobState(m.State), Error: m.Error})
+		return ok
 	})
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"puffer/internal/eco"
 	"puffer/internal/synth"
 )
 
@@ -256,7 +257,7 @@ func TestSessionIdleEviction(t *testing.T) {
 
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		rt, ok := s.sessionRuntimeFor(m.ID)
+		rt, ok := s.sessions.lookup(m.ID)
 		if !ok {
 			t.Fatal("session runtime missing")
 		}
@@ -314,5 +315,160 @@ func TestSessionOpenValidation(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("delta on unknown session status %d", resp.StatusCode)
+	}
+}
+
+// TestSessionCloseDuringDelta: a close that lands while a delta is in
+// flight wins. The delta's manifest update must refuse the closed session
+// (409) and drop its warm state, instead of reopening it.
+func TestSessionCloseDuringDelta(t *testing.T) {
+	s := newTestServer(t, Config{})
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	spec := quickSessionSpec()
+	m := openSessionHTTP(t, ts, s, spec)
+	delta := sessionDelta(t, spec, 3, 0)
+
+	// Hold the spool lock: the delta runs, spools its snapshot, and then
+	// stops at its manifest update, still holding the session's run lock.
+	s.spool.mu.Lock()
+	locked := true
+	defer func() {
+		if locked {
+			s.spool.mu.Unlock()
+		}
+	}()
+	codes := make(chan int, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/api/v1/sessions/"+m.ID+"/deltas", "application/json", bytes.NewReader(delta))
+		if err != nil {
+			codes <- 0
+			return
+		}
+		resp.Body.Close()
+		codes <- resp.StatusCode
+	}()
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		if sn, err := eco.LoadSnapshot(s.spool.SessionSnapshotPath(m.ID)); err == nil && sn.Deltas == 1 {
+			break
+		}
+		select {
+		case code := <-codes:
+			t.Fatalf("delta answered %d before its manifest update", code)
+		default:
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("delta never spooled its snapshot")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	// Write closed through the spool, as a close does, then let the delta
+	// finish.
+	cm, err := s.spool.ReadSessionManifest(m.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now().UTC()
+	cm.State, cm.ClosedAt = SessionClosed, &now
+	if err := s.spool.WriteSessionManifest(cm); err != nil {
+		t.Fatal(err)
+	}
+	s.spool.mu.Unlock()
+	locked = false
+
+	select {
+	case code := <-codes:
+		if code != http.StatusConflict {
+			t.Fatalf("delta on a session closed mid-flight answered %d, want 409", code)
+		}
+	case <-time.After(60 * time.Second):
+		t.Fatal("delta never answered")
+	}
+	fm, err := s.spool.ReadSessionManifest(m.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fm.State != SessionClosed {
+		t.Fatalf("manifest after the refused delta is %s, want closed", fm.State)
+	}
+	resp, err := http.Get(ts.URL + "/api/v1/sessions")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []sessionSummary
+	json.NewDecoder(resp.Body).Decode(&rows)
+	resp.Body.Close()
+	for _, row := range rows {
+		if row.ID == m.ID && row.Warm {
+			t.Fatalf("closed session kept its warm state: %+v", row)
+		}
+	}
+}
+
+// TestSessionCloseDuringOpen: a close that lands after the base placement
+// but before the open records it also wins — the session stays closed
+// instead of reopening (or failing).
+func TestSessionCloseDuringOpen(t *testing.T) {
+	s := newTestServer(t, Config{})
+	s.Start()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	// Hold the spool lock: the open places, spools its base snapshot, and
+	// then stops at its manifest update.
+	s.spool.mu.Lock()
+	locked := true
+	defer func() {
+		if locked {
+			s.spool.mu.Unlock()
+		}
+	}()
+	body, _ := json.Marshal(quickSessionSpec())
+	resp, err := http.Post(ts.URL+"/api/v1/sessions", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m SessionManifest
+	json.NewDecoder(resp.Body).Decode(&m)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("open status %d", resp.StatusCode)
+	}
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		if _, err := eco.LoadSnapshot(s.spool.SessionSnapshotPath(m.ID)); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("open never spooled its base snapshot")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	cm, err := s.spool.ReadSessionManifest(m.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := time.Now().UTC()
+	cm.State, cm.ClosedAt = SessionClosed, &now
+	if err := s.spool.WriteSessionManifest(cm); err != nil {
+		t.Fatal(err)
+	}
+	s.spool.mu.Unlock()
+	locked = false
+
+	// Close waits for the open's goroutine.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	fm, err := s.spool.ReadSessionManifest(m.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fm.State != SessionClosed || fm.Error != "" {
+		t.Fatalf("manifest after the refused open is %s (error %q), want closed", fm.State, fm.Error)
 	}
 }

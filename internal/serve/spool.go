@@ -10,12 +10,14 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"puffer/internal/fsx"
 	"puffer/pipeline"
 )
 
-// Spool is the daemon's on-disk job store. Layout under the root:
+// Spool is the daemon's on-disk job and session store. Layout under the
+// root:
 //
 //	jobs/<id>/manifest.json    durable job record (atomic rewrite per transition)
 //	jobs/<id>/design/          uploaded Bookshelf files, verbatim
@@ -24,6 +26,12 @@ import (
 //	jobs/<id>/trace.json       Chrome trace-event JSON
 //	jobs/<id>/metrics.jsonl    streamed metric samples
 //	jobs/<id>/strategy.json    tuned strategy (done explore jobs)
+//	sessions/<id>/manifest.json  durable ECO session record
+//	sessions/<id>/snapshot.json  warm state after the last completed delta
+//	sessions/<id>/design/, trace.json, metrics.jsonl  as for jobs
+//
+// Both kinds share one record store (recordStore); recovery keeps its
+// per-kind state rules (Recover, RecoverSessions).
 //
 // Every manifest and checkpoint write goes through a temp file + rename,
 // so a daemon killed mid-write leaves either the previous or the next
@@ -50,7 +58,7 @@ func OpenSpool(dir string) (*Spool, error) {
 func (sp *Spool) Root() string { return sp.root }
 
 // JobDir returns the directory of one job.
-func (sp *Spool) JobDir(id string) string { return filepath.Join(sp.root, "jobs", id) }
+func (sp *Spool) JobDir(id string) string { return jobRecords.path(sp, id) }
 
 // CheckpointPath returns the job's pipeline checkpoint path.
 func (sp *Spool) CheckpointPath(id string) string {
@@ -89,24 +97,137 @@ func newJobID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// CreateJob allocates a job directory for spec, writes the uploaded design
-// files (if any), and persists the initial queued manifest.
-func (sp *Spool) CreateJob(m *Manifest) error {
-	dir := sp.JobDir(m.ID)
+// recordPtr is a spooled manifest type (*Manifest, *SessionManifest): the
+// store stamps its format and orders it by ID and creation time.
+type recordPtr[T any] interface {
+	*T
+	spoolHead() (format *string, id string, created time.Time)
+}
+
+// recordStore is the on-disk store of one record kind: manifests under
+// <root>/<dir>/<id>/manifest.json carrying the kind's format string.
+type recordStore[T any, P recordPtr[T]] struct {
+	dir    string // "jobs" or "sessions"
+	format string
+	noun   string // "job" or "session", for messages
+}
+
+var (
+	jobRecords     = recordStore[Manifest, *Manifest]{dir: "jobs", format: ManifestFormat, noun: "job"}
+	sessionRecords = recordStore[SessionManifest, *SessionManifest]{dir: "sessions", format: SessionManifestFormat, noun: "session"}
+)
+
+func (m *Manifest) spoolHead() (*string, string, time.Time) { return &m.Format, m.ID, m.SubmittedAt }
+
+func (m *SessionManifest) spoolHead() (*string, string, time.Time) {
+	return &m.Format, m.ID, m.OpenedAt
+}
+
+// path returns the directory of one record.
+func (k recordStore[T, P]) path(sp *Spool, id string) string {
+	return filepath.Join(sp.root, k.dir, id)
+}
+
+// create allocates the record's directory, writes the uploaded design
+// files (if any) under design/, and persists the initial manifest.
+func (k recordStore[T, P]) create(sp *Spool, m P, bookshelf map[string]string) error {
+	_, id, _ := m.spoolHead()
+	dir := k.path(sp, id)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("serve: create job dir: %w", err)
+		return fmt.Errorf("serve: create %s dir: %w", k.noun, err)
 	}
-	if len(m.Spec.Bookshelf) > 0 {
+	if len(bookshelf) > 0 {
 		ddir := filepath.Join(dir, "design")
 		if err := os.MkdirAll(ddir, 0o755); err != nil {
 			return err
 		}
-		for name, content := range m.Spec.Bookshelf {
+		for name, content := range bookshelf {
 			if err := os.WriteFile(filepath.Join(ddir, name), []byte(content), 0o644); err != nil {
 				return fmt.Errorf("serve: write design file %s: %w", name, err)
 			}
 		}
 	}
+	return k.write(sp, m)
+}
+
+// write persists m atomically.
+func (k recordStore[T, P]) write(sp *Spool, m P) error {
+	format, id, _ := m.spoolHead()
+	*format = k.format
+	data, err := json.MarshalIndent(m, "", "  ")
+	if err != nil {
+		return fmt.Errorf("serve: encode %s manifest: %w", k.noun, err)
+	}
+	return atomicWriteFile(filepath.Join(k.path(sp, id), "manifest.json"), append(data, '\n'))
+}
+
+// read loads one record's manifest, rejecting foreign formats.
+func (k recordStore[T, P]) read(sp *Spool, id string) (P, error) {
+	data, err := os.ReadFile(filepath.Join(k.path(sp, id), "manifest.json"))
+	if err != nil {
+		return nil, err
+	}
+	m := P(new(T))
+	if err := json.Unmarshal(data, m); err != nil {
+		return nil, fmt.Errorf("serve: decode manifest for %s %s: %w", k.noun, id, err)
+	}
+	if format, _, _ := m.spoolHead(); *format != k.format {
+		return nil, fmt.Errorf("serve: %s %s: manifest format %q, want %q", k.noun, id, *format, k.format)
+	}
+	return m, nil
+}
+
+// update applies fn to the record's manifest under the spool lock and
+// persists the result — the one safe way to make a state transition. An
+// error from fn leaves the manifest as it was.
+func (k recordStore[T, P]) update(sp *Spool, id string, fn func(P) error) (P, error) {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	m, err := k.read(sp, id)
+	if err != nil {
+		return nil, err
+	}
+	if err := fn(m); err != nil {
+		return m, err
+	}
+	if err := k.write(sp, m); err != nil {
+		return m, err
+	}
+	return m, nil
+}
+
+// list returns every record of the kind, oldest first with an ID
+// tiebreak (stable across boots). Unreadable manifests (foreign files,
+// interrupted pre-hardening writes) are skipped.
+func (k recordStore[T, P]) list(sp *Spool) ([]P, error) {
+	entries, err := os.ReadDir(filepath.Join(sp.root, k.dir))
+	if err != nil && !os.IsNotExist(err) {
+		return nil, err
+	}
+	out := make([]P, 0, len(entries))
+	for _, e := range entries {
+		if !e.IsDir() {
+			continue
+		}
+		if m, err := k.read(sp, e.Name()); err == nil {
+			out = append(out, m)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		_, a, at := out[i].spoolHead()
+		_, b, bt := out[j].spoolHead()
+		if !at.Equal(bt) {
+			return at.Before(bt)
+		}
+		return a < b
+	})
+	return out, nil
+}
+
+// CreateJob allocates a job directory, seeds the submitted checkpoint (if
+// any), writes the uploaded design files, and persists the initial queued
+// manifest.
+func (sp *Spool) CreateJob(m *Manifest) error {
 	if len(m.Spec.Checkpoint) > 0 {
 		// Seed the spooled checkpoint so the first run resumes mid-flow —
 		// exactly the file a parked job of this daemon would have left.
@@ -116,6 +237,9 @@ func (sp *Spool) CreateJob(m *Manifest) error {
 		if err := json.Unmarshal(m.Spec.Checkpoint, cp); err != nil {
 			return fmt.Errorf("serve: seed checkpoint: %w", err)
 		}
+		if err := os.MkdirAll(sp.JobDir(m.ID), 0o755); err != nil {
+			return fmt.Errorf("serve: create job dir: %w", err)
+		}
 		if err := cp.Save(sp.CheckpointPath(m.ID)); err != nil {
 			return fmt.Errorf("serve: seed checkpoint: %w", err)
 		}
@@ -123,44 +247,14 @@ func (sp *Spool) CreateJob(m *Manifest) error {
 			m.Stage = cp.Stage
 		}
 	}
-	return sp.WriteManifest(m)
-}
-
-// AuxPath returns the path of the job's uploaded .aux file ("" for
-// profile jobs).
-func (sp *Spool) AuxPath(m *Manifest) string {
-	aux := m.Spec.AuxName()
-	if aux == "" {
-		return ""
-	}
-	return filepath.Join(sp.JobDir(m.ID), "design", aux)
+	return jobRecords.create(sp, m, m.Spec.Bookshelf)
 }
 
 // WriteManifest persists m atomically.
-func (sp *Spool) WriteManifest(m *Manifest) error {
-	m.Format = ManifestFormat
-	data, err := json.MarshalIndent(m, "", "  ")
-	if err != nil {
-		return fmt.Errorf("serve: encode manifest: %w", err)
-	}
-	return atomicWriteFile(filepath.Join(sp.JobDir(m.ID), "manifest.json"), append(data, '\n'))
-}
+func (sp *Spool) WriteManifest(m *Manifest) error { return jobRecords.write(sp, m) }
 
 // ReadManifest loads one job's manifest.
-func (sp *Spool) ReadManifest(id string) (*Manifest, error) {
-	data, err := os.ReadFile(filepath.Join(sp.JobDir(id), "manifest.json"))
-	if err != nil {
-		return nil, err
-	}
-	m := &Manifest{}
-	if err := json.Unmarshal(data, m); err != nil {
-		return nil, fmt.Errorf("serve: decode manifest for job %s: %w", id, err)
-	}
-	if m.Format != ManifestFormat {
-		return nil, fmt.Errorf("serve: job %s: manifest format %q, want %q", id, m.Format, ManifestFormat)
-	}
-	return m, nil
-}
+func (sp *Spool) ReadManifest(id string) (*Manifest, error) { return jobRecords.read(sp, id) }
 
 // Origin returns the manifest of the job that computed m's result: the
 // origin of a cache hit when it is still readable, m itself otherwise.
@@ -176,48 +270,11 @@ func (sp *Spool) Origin(m *Manifest) *Manifest {
 // Update applies fn to the job's manifest under the spool lock and
 // persists the result — the one safe way to make a state transition.
 func (sp *Spool) Update(id string, fn func(*Manifest) error) (*Manifest, error) {
-	sp.mu.Lock()
-	defer sp.mu.Unlock()
-	m, err := sp.ReadManifest(id)
-	if err != nil {
-		return nil, err
-	}
-	if err := fn(m); err != nil {
-		return m, err
-	}
-	if err := sp.WriteManifest(m); err != nil {
-		return m, err
-	}
-	return m, nil
+	return jobRecords.update(sp, id, fn)
 }
 
 // List returns every job manifest in the spool, oldest submission first.
-// Jobs whose manifests are unreadable (foreign files, interrupted
-// pre-hardening writes) are skipped.
-func (sp *Spool) List() ([]*Manifest, error) {
-	entries, err := os.ReadDir(filepath.Join(sp.root, "jobs"))
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*Manifest, 0, len(entries))
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		m, err := sp.ReadManifest(e.Name())
-		if err != nil {
-			continue
-		}
-		out = append(out, m)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].SubmittedAt.Equal(out[j].SubmittedAt) {
-			return out[i].SubmittedAt.Before(out[j].SubmittedAt)
-		}
-		return out[i].ID < out[j].ID
-	})
-	return out, nil
-}
+func (sp *Spool) List() ([]*Manifest, error) { return jobRecords.list(sp) }
 
 // Recover returns the jobs a booting daemon must re-admit, oldest first:
 // queued ones (never started), parked ones (gracefully drained), and
@@ -245,6 +302,62 @@ func (sp *Spool) Recover() ([]*Manifest, error) {
 		}
 	}
 	return out, nil
+}
+
+// SessionDir returns the directory of one session.
+func (sp *Spool) SessionDir(id string) string { return sessionRecords.path(sp, id) }
+
+// SessionSnapshotPath returns the session's eco snapshot path.
+func (sp *Spool) SessionSnapshotPath(id string) string {
+	return filepath.Join(sp.SessionDir(id), "snapshot.json")
+}
+
+// WriteSessionManifest persists m atomically.
+func (sp *Spool) WriteSessionManifest(m *SessionManifest) error { return sessionRecords.write(sp, m) }
+
+// ReadSessionManifest loads one session's manifest.
+func (sp *Spool) ReadSessionManifest(id string) (*SessionManifest, error) {
+	return sessionRecords.read(sp, id)
+}
+
+// UpdateSession applies fn to the session's manifest under the spool lock
+// and persists the result.
+func (sp *Spool) UpdateSession(id string, fn func(*SessionManifest) error) (*SessionManifest, error) {
+	return sessionRecords.update(sp, id, fn)
+}
+
+// RecoverSessions marks the sessions a booting daemon inherits: sessions
+// still opening when the previous daemon died have no snapshot and fail;
+// open or parked ones park (the next delta rehydrates them from the
+// spooled snapshot).
+func (sp *Spool) RecoverSessions() (parked, failed []*SessionManifest, err error) {
+	all, err := sessionRecords.list(sp)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, m := range all {
+		if m.State.Terminal() {
+			continue
+		}
+		um, err := sp.UpdateSession(m.ID, func(mm *SessionManifest) error {
+			if mm.State == SessionOpening {
+				mm.State = SessionFailed
+				mm.Error = "daemon restarted before the base placement finished"
+			} else {
+				mm.State = SessionParked
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		if um.State == SessionFailed {
+			failed = append(failed, um)
+		} else {
+			parked = append(parked, um)
+		}
+	}
+	return parked, failed, nil
 }
 
 // atomicWriteFile writes data via temp file + rename in path's directory.

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
+	"path/filepath"
 	"time"
 
 	"puffer"
@@ -62,13 +63,10 @@ func (s *Server) runJob(id string) {
 		return
 	}
 
-	a := s.ensureJob(id)
+	a := s.jobs.ensure(id)
 	jobCtx, cancel := context.WithCancelCause(s.baseCtx)
-	s.mu.Lock()
-	a.cancel = cancel
-	draining := s.draining
-	s.mu.Unlock()
-	if draining {
+	a.setCancel(cancel)
+	if s.Draining() {
 		cancel(errParked) // drain began between Pop and registration
 	}
 	defer cancel(nil)
@@ -84,33 +82,17 @@ func (s *Server) runJob(id string) {
 		defer tcancel()
 	}
 
-	// Per-job telemetry: an isolated registry whose samples stream to the
-	// job's hub and to the spooled metrics.jsonl, a tracer for the trace
-	// artifact, and a live expvar registration while the job runs.
-	sinks := []obs.Sink{hubSink{a.hub}}
-	metricsPath, _ := s.spool.ArtifactPath(id, "metrics.jsonl")
-	metricsF, ferr := os.OpenFile(metricsPath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	var metricsSink obs.Sink
-	if ferr == nil {
-		metricsSink = obs.NewJSONLSink(metricsF)
-		sinks = append(sinks, metricsSink)
-	}
-	reg := obs.NewRegistry(sinks...)
-	// Adopt the submission's trace context when one was spooled: the job's
-	// span tree (and under it the whole pipeline) joins the client's trace,
-	// so a merged Chrome trace shows client request, queue wait, and shard
-	// work as one tree under one trace ID.
+	// Per-job telemetry for the attempt. Adopt the submission's trace
+	// context when one was spooled: the job's span tree (and under it the
+	// whole pipeline) joins the client's trace, so a merged Chrome trace
+	// shows client request, queue wait, and shard work as one tree under
+	// one trace ID.
 	var tc obs.TraceContext
 	if m.TraceParent != "" {
 		tc, _ = obs.ParseTraceparent(m.TraceParent)
 	}
-	tracer := obs.NewTracerWith(tc)
-	rec := obs.NewRecorder(tracer, reg)
-	s.mu.Lock()
-	a.reg = reg
-	s.mu.Unlock()
-	obs.PublishExpvar("job-"+id, reg)
-	defer obs.UnpublishExpvar("job-" + id)
+	rec := a.openTelemetry(tc)
+	tracer := rec.Tracer()
 
 	// The job span opens retroactively at submission, so the trace shows
 	// the full client-observed wall; the queue wait (submission → claim)
@@ -142,21 +124,7 @@ func (s *Server) runJob(id string) {
 		result, err = s.execPlace(runCtx, m, a, rec)
 	}
 	jobSpan.End()
-
-	// Spool the trace and flush the metric stream regardless of outcome —
-	// a parked or failed job's partial telemetry is exactly what the
-	// operator wants to look at.
-	if tracer.Len() > 0 {
-		if tp, perr := s.spool.ArtifactPath(id, "trace.json"); perr == nil {
-			if werr := tracer.WriteFile(tp); werr != nil {
-				s.log.ErrorContext(lctx, "write trace artifact", "error", werr)
-			}
-		}
-	}
-	if metricsSink != nil {
-		metricsSink.Flush()
-		metricsF.Close()
-	}
+	a.closeTelemetry(s.log)
 
 	state, errMsg := classifyOutcome(runCtx, err)
 	if result != nil {
@@ -191,11 +159,9 @@ func (s *Server) runJob(id string) {
 	}
 	a.hub.Publish(Event{Type: "state", State: state, Error: errMsg})
 	a.hub.Close()
-	s.mu.Lock()
-	a.cancel = nil
-	s.mu.Unlock()
+	a.setCancel(nil)
 	if state.Terminal() {
-		s.retireJob(id)
+		s.jobs.retire(id)
 	}
 	s.reg.Gauge("serve.active_jobs").Set(float64(s.activeCount()))
 	s.log.InfoContext(lctx, "job finished",
@@ -225,11 +191,9 @@ func classifyOutcome(ctx context.Context, err error) (JobState, string) {
 
 // activeCount returns how many jobs are currently cancelable (running).
 func (s *Server) activeCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	n := 0
-	for _, a := range s.jobs {
-		if a.cancel != nil {
+	for _, a := range s.jobs.all() {
+		if a.running() {
 			n++
 		}
 	}
@@ -250,17 +214,8 @@ func (s *Server) buildDesign(m *Manifest) (*netlist.Design, *rsmt.Memo, error) {
 		}
 	}
 	s.reg.Counter("serve.design_parses").Inc()
-	var (
-		d   *netlist.Design
-		err error
-	)
-	if m.Spec.Profile != "" {
-		p, perr := synth.ProfileByName(m.Spec.Profile)
-		if perr != nil {
-			return nil, nil, perr
-		}
-		d = synth.Generate(p, m.Spec.Scale, m.Spec.Seed)
-	} else if d, err = bookshelf.Parse(s.spool.AuxPath(m)); err != nil {
+	d, err := newDesign(&m.Spec, s.spool.JobDir(m.ID))
+	if err != nil {
 		return nil, nil, err
 	}
 	if key == "" {
@@ -270,7 +225,24 @@ func (s *Server) buildDesign(m *Manifest) (*netlist.Design, *rsmt.Memo, error) {
 	return e.base.Clone(), e.topo, nil
 }
 
-// placeConfig builds the pipeline configuration for a place job.
+// newDesign materializes a spec's design: a deterministic synthetic
+// profile, or the Bookshelf upload spooled under dir/design/. Both rebuild
+// bit-identically, which a rehydrating ECO session relies on (eco.Restore
+// verifies it by design hash).
+func newDesign(spec *JobSpec, dir string) (*netlist.Design, error) {
+	if spec.Profile != "" {
+		p, err := synth.ProfileByName(spec.Profile)
+		if err != nil {
+			return nil, err
+		}
+		return synth.Generate(p, spec.Scale, spec.Seed), nil
+	}
+	return bookshelf.Parse(filepath.Join(dir, "design", spec.AuxName()))
+}
+
+// placeConfig builds the pipeline configuration for a place job or an ECO
+// session. It must be deterministic in the spec: a rehydrated session
+// rebuilds the exact configuration its snapshot was captured under.
 func placeConfig(spec *JobSpec, rec *obs.Recorder, hub *Hub) (pipeline.Config, error) {
 	cfg := pipeline.DefaultConfig()
 	cfg.Place.Seed = spec.Seed
@@ -295,7 +267,7 @@ func placeConfig(spec *JobSpec, rec *obs.Recorder, hub *Hub) (pipeline.Config, e
 
 // execPlace runs (or resumes) a placement job through the staged pipeline,
 // checkpointing into the spool after every stage.
-func (s *Server) execPlace(ctx context.Context, m *Manifest, a *activeJob, rec *obs.Recorder) (*JobResult, error) {
+func (s *Server) execPlace(ctx context.Context, m *Manifest, a *entry, rec *obs.Recorder) (*JobResult, error) {
 	d, topo, err := s.buildDesign(m)
 	if err != nil {
 		return nil, fmt.Errorf("build design: %w", err)
@@ -414,7 +386,7 @@ func buildResult(rc *pipeline.RunContext, prior *JobResult) *JobResult {
 // explorations never reach a worker — the coordinator rejects them into
 // its farm controller instead). In-process exploration carries no
 // resumable design state, so a re-admitted exploration starts over.
-func (s *Server) execExplore(ctx context.Context, m *Manifest, a *activeJob, rec *obs.Recorder) (*JobResult, error) {
+func (s *Server) execExplore(ctx context.Context, m *Manifest, a *entry, rec *obs.Recorder) (*JobResult, error) {
 	d, _, err := s.buildDesign(m)
 	if err != nil {
 		return nil, fmt.Errorf("build design: %w", err)
